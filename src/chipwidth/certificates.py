@@ -10,10 +10,11 @@ from dataclasses import dataclass
 class Certificate:
     """One checked claim: what was claimed, what was found, and the witness.
 
-    verdict is "pass" or "fail". proof names the procedure that settled the
-    claim (e.g. branch_and_bound, exhaustive, subset_dp). timing is wall
-    seconds; serialization can withhold it so that repeated runs on the same
-    input stay byte-identical.
+    verdict is the outcome in the claim's own terms, such as exact or
+    bounds_only, valid or invalid, pass or fail, wins or loses. proof names
+    the procedure that settled the claim (e.g. branch_and_bound, exhaustive,
+    subset_dp). timing is wall seconds; serialization can withhold it so that
+    repeated runs on the same input stay byte-identical.
     """
 
     claim: dict

@@ -10,9 +10,7 @@ Machine output goes to stdout, diagnostics to stderr. Exit codes: 0 on
 success or an all-match table, 1 on a verification failure or mismatch,
 2 on usage errors. Stdout is byte-identical across runs on the same input;
 measured wall times are only embedded when --timing is given. The --seed
-flag is reserved and ignored (every algorithm here is deterministic), and
-the CHIPWIDTH_THREADS environment variable is likewise reserved; current
-solvers are single-threaded.
+flag is reserved and ignored (every algorithm here is deterministic).
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ from .graphs import (
     write_gr,
 )
 from .treewidth import (
+    DEFAULT_TIME_BUDGET,
     DecompositionError,
     SolverLimits,
     exact_treewidth,
@@ -112,7 +111,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_tw(args: argparse.Namespace) -> int:
     g = read_gr_file(args.graph)
     limits = SolverLimits(
-        method=args.method,
         time_budget=args.budget_ms / 1000.0,
         lower_bound_hint=args.lower_hint,
     )
@@ -128,7 +126,7 @@ def _cmd_tw(args: argparse.Namespace) -> int:
             "upper": res.upper,
             "bags": res.decomposition.num_bags,
         },
-        proof=res.method,
+        proof="subset_dp",
         timing=res.elapsed,
     )
     _print_cert(cert, args.timing)
@@ -438,8 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tw", help="exact treewidth with a tree decomposition")
     p.add_argument("graph", help=".gr file")
-    p.add_argument("--budget-ms", type=int, default=60000)
-    p.add_argument("--method", choices=["auto", "dp", "bb"], default="auto")
+    p.add_argument("--budget-ms", type=int, default=int(DEFAULT_TIME_BUDGET * 1000))
     p.add_argument("--lower-hint", type=int, default=0, help="known treewidth lower bound")
     p.add_argument("--td", default=None, help="also write the decomposition to this .td file")
     p.set_defaults(func=_cmd_tw)

@@ -450,11 +450,12 @@ def read_gr(text: str) -> Graph:
             edges.append((u, v))
     if n == -1:
         raise FormatError("missing problem line")
-    if len(set(tuple(sorted(e)) for e in edges)) != len(edges):
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    if len(edge_set) != len(edges):
         raise FormatError("parallel edge in input")
     if len(edges) != declared_edges:
         raise FormatError(f"declared {declared_edges} edges, found {len(edges)}")
-    if family is not None and _family_shape_mismatch(family, n):
+    if family is not None and not _family_matches(family, n, edge_set):
         family = None
     g = Graph(n, edges, family)
     if not g.is_connected():
@@ -462,12 +463,25 @@ def read_gr(text: str) -> Graph:
     return g
 
 
-def _family_shape_mismatch(fam: FamilyMeta, n: int) -> bool:
-    if fam.kind in GRID_KINDS or fam.kind == "product":
-        return fam.m * fam.n != n
-    if fam.kind in ELEMENTARY_KINDS:
-        return fam.m != n
-    return False
+def _family_matches(fam: FamilyMeta, n: int, edge_set: set[tuple[int, int]]) -> bool:
+    # Orbit, row/column, bramble and divisor code read grid and elementary
+    # dimensions, so those kinds must rebuild to the edges read; checking the
+    # count first keeps a lying comment from forcing a huge rebuild.
+    if fam.kind == "other":
+        return True
+    if fam.kind == "product":
+        return fam.m * fam.n == n
+    elementary = fam.kind in ELEMENTARY_KINDS
+    if (fam.m if elementary else fam.m * fam.n) != n:
+        return False
+    try:
+        if elementary:
+            ref = make_elementary(fam.kind, fam.m)
+        else:
+            ref = make_family(fam.kind, fam.m, fam.n)
+    except InvalidFamilyError:
+        return False
+    return ref.edge_set == edge_set
 
 
 def write_gr_file(g: Graph, path) -> None:

@@ -7,10 +7,9 @@ the size of Q(S, v), the neighborhood of v's component in the graph induced
 by S + {v}. Iterating k upward from a lower bound until the first success
 yields the exact value together with a witness elimination order.
 
-Run exhaustively (the default for graphs up to 22 vertices) the search
-visits every feasible prefix at most once, which makes it the classic
-subset dynamic program in top-down form. Above that size it runs under a
-wall-clock budget as a branch and bound and reports bounds when the budget
+The search visits every feasible prefix at most once, which makes it the
+classic subset dynamic program in top-down form. It runs under a state cap
+and a wall-clock budget (60 s by default) and reports bounds when either
 runs out.
 """
 
@@ -30,9 +29,8 @@ from .graphs import (
     mask_of,
 )
 
-DP_VERTEX_LIMIT = 22
 DEFAULT_MAX_STATES = 100_000_000
-DEFAULT_BB_TIME = 60.0
+DEFAULT_TIME_BUDGET = 60.0
 
 
 class DecompositionError(Exception):
@@ -85,9 +83,8 @@ class ValidationReport:
 class SolverLimits:
     """Budgets and hints for exact_treewidth."""
 
-    method: str = "auto"  # auto | dp | bb
     max_states: int = DEFAULT_MAX_STATES
-    time_budget: float | None = None  # seconds; None means engine default
+    time_budget: float | None = DEFAULT_TIME_BUDGET  # seconds; None means no wall clock
     lower_bound_hint: int = 0  # e.g. a bramble order minus one
 
 
@@ -98,7 +95,6 @@ class WidthResult:
 
     treewidth: int
     decomposition: TreeDecomposition
-    method: str  # subset_dp | branch_and_bound
     proof_status: str  # exact | bounds_only
     lower: int
     upper: int
@@ -417,24 +413,15 @@ def _decide_width(
 def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult:
     """Exact treewidth with a witness decomposition, or bounds on budget.
 
-    Graphs with at most 22 vertices run the exhaustive subset engine by
-    default; larger graphs run branch and bound under a wall-clock budget
-    (60 s unless overridden) and may return proof_status "bounds_only".
+    The search stops at limits.max_states expanded states or after
+    limits.time_budget seconds, whichever comes first, and then returns
+    proof_status "bounds_only" with the interval it has certified.
     """
     if not g.is_connected():
         raise ValueError("treewidth solver expects a connected graph")
     limits = limits or SolverLimits()
-    method = limits.method
-    if method == "auto":
-        method = "dp" if g.n <= DP_VERTEX_LIMIT else "bb"
-    if method not in ("dp", "bb"):
-        raise ValueError(f"method must be auto, dp or bb, got {method!r}")
-    time_budget = limits.time_budget
-    if time_budget is None and method == "bb":
-        time_budget = DEFAULT_BB_TIME
     t0 = time.monotonic()
-    budget = _Budget(limits.max_states, time_budget)
-    method_name = "subset_dp" if method == "dp" else "branch_and_bound"
+    budget = _Budget(limits.max_states, limits.time_budget)
 
     mf_order, mf_width = min_fill_order(g)
     lower = max(degeneracy(g), limits.lower_bound_hint, 1 if g.num_edges else 0)
@@ -442,24 +429,21 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
     best_order = mf_order
     roots = _first_move_candidates(g)
 
-    k = lower
-    while k < upper:
-        verdict, order = _decide_width(g, k, budget, roots)
+    while lower < upper:
+        verdict, order = _decide_width(g, lower, budget, roots)
         if verdict is None:
             break
         if verdict:
-            upper = k
+            upper = lower
             best_order = order
             break
-        lower = k + 1
-        k += 1
+        lower += 1
 
     td = decomposition_from_elimination_order(g, best_order)
     status = "exact" if lower == upper else "bounds_only"
     return WidthResult(
         treewidth=upper,
         decomposition=td,
-        method=method_name,
         proof_status=status,
         lower=lower,
         upper=upper,

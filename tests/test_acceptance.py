@@ -88,13 +88,13 @@ def test_criterion_1_treewidth_benchmarks():
                validate_tree_decomposition(fam(kind, m, n), res.decomposition).valid,
                f"{label} decomposition invalid")
 
-    # stretch instance: 32 vertices, branch and bound under a wall budget;
-    # an interval answer is acceptable as long as it pins 8 inside
+    # stretch instance: 32 vertices, searched under a wall budget; an
+    # interval answer is acceptable as long as it pins 8 inside
     big = fam("stacked_prism", 8, 4)
     report = treewidth_bounds_report(big, compute_bramble_order=False)
     _check(failures, report.minor_lower == 7, "Y8,4 minor lower bound missing")
     res = exact_treewidth(big, SolverLimits(
-        method="bb", time_budget=45.0, lower_bound_hint=report.minor_lower))
+        time_budget=45.0, lower_bound_hint=report.minor_lower))
     if res.proof_status == "exact":
         _check(failures, res.treewidth == 8, f"tw(Y8,4) = {res.treewidth}, want 8")
     else:

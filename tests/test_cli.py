@@ -55,7 +55,10 @@ def test_tw_certificate(tmp_path, capsys):
     assert cert["verdict"] == "exact"
     assert cert["witness"]["treewidth"] == 5
     assert cert["claim"] == {"type": "treewidth", "graph": "T4,3", "vertices": 12}
+    assert cert["proof"] == "subset_dp"
     assert cert["timing"] is None
+    # one search engine: there is no method to choose
+    assert run(capsys, "tw", str(gr), "--method", "dp")[0] == 2
 
 
 def test_tw_deterministic_bytes(tmp_path, capsys):

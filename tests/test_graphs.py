@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from chipwidth.cli import main
 from chipwidth.graphs import (
     FamilyMeta,
     FormatError,
@@ -24,6 +26,7 @@ from chipwidth.graphs import (
     row_collapse_minor,
     write_gr,
 )
+from chipwidth.treewidth import exact_treewidth
 
 
 def prism(m: int, n: int) -> Graph:
@@ -234,6 +237,35 @@ def test_gr_preserves_family_metadata():
     assert g.family == FamilyMeta("stacked_prism", 6, 3)
     bare = read_gr("p tw 3 2\n1 2\n2 3\n")
     assert bare.family is None and bare.n == 3
+
+
+def _random_connected(rng: random.Random, n: int, p: float) -> Graph:
+    while True:
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if g.is_connected():
+            return g
+
+
+def test_gr_drops_family_comment_that_does_not_match_edges(tmp_path, capsys):
+    # trusting a T4,3 comment on another 12-vertex graph would restrict the
+    # treewidth search's root moves to orbit representatives of the wrong
+    # graph; several of these graphs then get a wrong exact width
+    rng = random.Random(0)
+    graphs = [_random_connected(rng, 12, 0.3) for _ in range(300)]
+    for g in graphs:
+        lying = read_gr("c family toroidal_grid 4 3\n" + write_gr(g))
+        assert lying.family is None
+        assert exact_treewidth(lying).treewidth == exact_treewidth(g).treewidth
+    path = tmp_path / "lying.gr"
+    path.write_text("c family toroidal_grid 4 3\n" + write_gr(graphs[0]))
+    assert main(["tw", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["claim"]["graph"] == "graph(12v)"
+    # relabelled family graphs keep their shape but not their metadata
+    t = torus(4, 3)
+    relabelled = t.relabeled(list(range(1, 12)) + [0])
+    assert read_gr("c family toroidal_grid 4 3\n" + write_gr(relabelled)).family is None
+    assert read_gr(write_gr(t)).family == FamilyMeta("toroidal_grid", 4, 3)
+    assert read_gr("c family cycle 5 1\np tw 5 4\n1 2\n2 3\n3 4\n4 5\n").family is None
 
 
 def test_gr_rejections():

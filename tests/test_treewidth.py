@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipwidth.brambles import gen_grid_bramble, gen_torus_fg, min_hitting_set
 from chipwidth.graphs import Graph, make_elementary, make_family, row_collapse_minor
@@ -13,6 +17,8 @@ from chipwidth.treewidth import (
     SolverLimits,
     TdFormatError,
     TreeDecomposition,
+    _Budget,
+    _decide_width,
     covering_bag,
     decomposition_from_elimination_order,
     degeneracy,
@@ -125,12 +131,20 @@ def test_exact_result_invariants():
     assert res.states > 0 and res.elapsed >= 0.0
 
 
-def test_methods_agree():
-    g = make_family("stacked_prism", 4, 2)
-    a = exact_treewidth(g, SolverLimits(method="dp"))
-    b = exact_treewidth(g, SolverLimits(method="bb", time_budget=30.0))
-    assert a.treewidth == b.treewidth == 3
-    assert a.method == "subset_dp" and b.method == "branch_and_bound"
+def test_state_cap_degrades_to_bounds():
+    # a tiny state cap stops the search mid-way; the result must still be an
+    # honest interval around the known width with a valid decomposition
+    limits = SolverLimits(max_states=10)
+    for kind, m, n, known in (("toroidal_grid", 5, 3, 6),
+                              ("toroidal_grid", 4, 4, 6),
+                              ("stacked_prism", 6, 3, 6)):
+        g = make_family(kind, m, n)
+        res = exact_treewidth(g, limits)
+        assert res.proof_status == "bounds_only"
+        assert res.lower <= known <= res.upper
+        assert res.treewidth == res.upper == res.decomposition.width
+        assert validate_tree_decomposition(g, res.decomposition).valid
+        assert res.states <= limits.max_states + 1
 
 
 def test_valid_lower_hint_preserves_answer():
@@ -152,6 +166,51 @@ def test_relabeling_invariance():
 
 def test_torus_square_value():
     assert exact_treewidth(make_family("toroidal_grid", 3, 3)).treewidth == 5
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 7) -> Graph:
+    n = draw(st.integers(1, max_n))
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+def brute_force_treewidth(g: Graph) -> int:
+    """Minimum over every elimination order of its largest back-degree."""
+    best = g.n - 1
+    for order in itertools.permutations(range(g.n)):
+        adj = [set(g.neighbors(v)) for v in range(g.n)]
+        width = 0
+        for v in order:
+            nbrs = adj[v]
+            width = max(width, len(nbrs))
+            for u in nbrs:
+                adj[u] |= nbrs - {u}
+                adj[u].discard(v)
+        best = min(best, width)
+    return best
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(connected_graphs())
+def test_exact_matches_brute_force_and_min_fill(g):
+    res = exact_treewidth(g)
+    want = brute_force_treewidth(g)
+    assert res.proof_status == "exact" and res.treewidth == want
+    # the heuristic bounds often meet on graphs this small, so ask the search
+    # itself both sides of the question as well
+    ok, order = _decide_width(g, want, _Budget(10**6, None))
+    assert ok and decomposition_from_elimination_order(g, order).width <= want
+    if want > 0:
+        assert _decide_width(g, want - 1, _Budget(10**6, None)) == (False, None)
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    nx_width, _ = nx.algorithms.approximation.treewidth_min_fill_in(h)
+    assert res.treewidth <= nx_width
 
 
 # --- minors only lower the width -------------------------------------------------
