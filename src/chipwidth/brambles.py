@@ -9,12 +9,10 @@ exactly by branch and bound. A bramble of order w certifies treewidth
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .certificates import Certificate
 from .graphs import (
     Graph,
     InvalidFamilyError,
@@ -103,12 +101,12 @@ class Classification:
 
 @dataclass(frozen=True)
 class OrderCertificate:
-    """Exact minimum hitting set: its size, the lexicographically least
-    optimal witness, and which proof produced it."""
+    """Exact minimum hitting set: its size and the lexicographically least
+    optimal witness. proof is always branch_and_bound, the only engine."""
 
     order: int
     witness: int
-    proof: str  # branch_and_bound | exhaustive
+    proof: str
 
 
 def is_connected_set(g: Graph, s: int) -> bool:
@@ -128,21 +126,34 @@ def sets_touch(g: Graph, a: int, b: int) -> bool:
 
 
 def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
+    """Name the first non-touching pair, else the first disjoint pair, in
+    index order. holders[v] is the bitset of element indices holding v, so
+    an element meets and touches others through a few big-int ORs."""
     elems = list(elements)
     for i, e in enumerate(elems):
         if e == 0 or not is_connected_set(g, e):
             return Classification(NOT_BRAMBLE, (i, i))
-    hoods = [g.neighborhood(e) | e for e in elems]
+    rows = [bytearray((len(elems) + 7) // 8) for _ in range(g.n)]
+    for i, e in enumerate(elems):
+        for v in iter_bits(e):
+            rows[v][i >> 3] |= 1 << (i & 7)
+    holders = [int.from_bytes(r, "little") for r in rows]
+    later = (1 << len(elems)) - 1  # indices above i once bit i is cleared
     disjoint_pair: tuple[int, int] | None = None
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if elems[i] & elems[j]:
-                continue
-            if hoods[i] & elems[j]:
-                if disjoint_pair is None:
-                    disjoint_pair = (i, j)
-            else:
-                return Classification(NOT_BRAMBLE, (i, j))
+    for i, e in enumerate(elems):
+        later ^= 1 << i
+        meets = 0
+        for v in iter_bits(e):
+            meets |= holders[v]
+        touches = meets
+        for v in iter_bits(g.neighborhood(e) & ~e):
+            touches |= holders[v]
+        apart = later & ~touches
+        if apart:
+            return Classification(NOT_BRAMBLE, (i, next(iter_bits(apart))))
+        disjoint = later & ~meets
+        if disjoint and disjoint_pair is None:
+            disjoint_pair = (i, next(iter_bits(disjoint)))
     if disjoint_pair is None:
         return Classification(STRICT_BRAMBLE)
     return Classification(BRAMBLE, disjoint_pair)
@@ -173,18 +184,6 @@ def _packing_bound(elements: list[int]) -> int:
             taken |= e
             count += 1
     return count
-
-
-def _prune_supersets(elements: tuple[int, ...]) -> list[int]:
-    # hitting a subset hits every superset, so supersets are redundant
-    if len(elements) > 5000:
-        return list(elements)
-    by_size = sorted(elements, key=lambda e: e.bit_count())
-    kept: list[int] = []
-    for e in by_size:
-        if not any(s & e == s for s in kept):
-            kept.append(e)
-    return kept
 
 
 def _min_unhit_element(unhit: list[int]) -> int:
@@ -256,9 +255,7 @@ def _lex_least_witness(elements: list[int], order: int, n: int) -> int:
     return witness
 
 
-def min_hitting_set(
-    b: Bramble, budget: int | None = None, exhaustive: bool = False
-) -> OrderCertificate:
+def min_hitting_set(b: Bramble, budget: int | None = None) -> OrderCertificate:
     """Exact minimum hitting set of the bramble's elements.
 
     Branches on the vertices of a minimum-cardinality unhit element (ties to
@@ -271,14 +268,7 @@ def min_hitting_set(
     n = b.graph.n
     if budget is None:
         budget = n
-    elements = _prune_supersets(b.elements)
-    if exhaustive:
-        for size in range(0, min(budget, n) + 1):
-            for combo in combinations(range(n), size):
-                m = mask_of(combo)
-                if all(e & m for e in elements):
-                    return OrderCertificate(size, m, "exhaustive")
-        raise OrderBudgetError(min(budget, n) + 1, n)
+    elements = list(b.elements)
     greedy = _greedy_hitting_set(elements, n)
     upper = greedy.bit_count()
     optimum = _branch_and_bound(elements, min(budget, upper))
@@ -288,28 +278,6 @@ def min_hitting_set(
         )
     witness = _lex_least_witness(elements, optimum, n)
     return OrderCertificate(optimum, witness, "branch_and_bound")
-
-
-def verify_order_certificate(b: Bramble, claimed_order: int) -> Certificate:
-    """Recompute the order and compare against the claim."""
-    t0 = time.monotonic()
-    cert = min_hitting_set(b)
-    elapsed = time.monotonic() - t0
-    return Certificate(
-        claim={
-            "type": "bramble_order",
-            "label": b.label,
-            "elements": len(b),
-            "claimed_order": claimed_order,
-        },
-        verdict="pass" if cert.order == claimed_order else "fail",
-        witness={
-            "order": cert.order,
-            "hitting_set": [v + 1 for v in bits_list(cert.witness)],
-        },
-        proof=cert.proof,
-        timing=elapsed,
-    )
 
 
 # --- generators --------------------------------------------------------------

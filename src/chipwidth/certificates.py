@@ -1,4 +1,4 @@
-"""Serializable claim/verdict records shared by the solvers and the CLI."""
+"""Serializable claim/verdict records emitted by the CLI."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ class Certificate:
 
     verdict is the outcome in the claim's own terms, such as exact or
     bounds_only, valid or invalid, pass or fail, wins or loses. proof names
-    the procedure that settled the claim (e.g. branch_and_bound, exhaustive,
-    subset_dp). timing is wall seconds; serialization can withhold it so that
-    repeated runs on the same input stay byte-identical.
+    the procedure that settled the claim (e.g. branch_and_bound, subset_dp,
+    exhaustive_enumeration). timing is wall seconds; serialization can
+    withhold it so that repeated runs on the same input stay byte-identical.
     """
 
     claim: dict

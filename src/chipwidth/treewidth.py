@@ -85,7 +85,7 @@ class SolverLimits:
 
     max_states: int = DEFAULT_MAX_STATES
     time_budget: float | None = DEFAULT_TIME_BUDGET  # seconds; None means no wall clock
-    lower_bound_hint: int = 0  # e.g. a bramble order minus one
+    lower_bound_hint: int = 0  # first width tried; checked, never trusted
 
 
 @dataclass(frozen=True)
@@ -416,6 +416,11 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
     The search stops at limits.max_states expanded states or after
     limits.time_budget seconds, whichever comes first, and then returns
     proof_status "bounds_only" with the interval it has certified.
+
+    limits.lower_bound_hint only picks the first width tried: lower is what
+    degeneracy or a refuted width proved, and a hinted width that succeeds
+    at once is checked one below. A hint above the treewidth or above the
+    min-fill width raises ValueError.
     """
     if not g.is_connected():
         raise ValueError("treewidth solver expects a connected graph")
@@ -424,20 +429,32 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
     budget = _Budget(limits.max_states, limits.time_budget)
 
     mf_order, mf_width = min_fill_order(g)
-    lower = max(degeneracy(g), limits.lower_bound_hint, 1 if g.num_edges else 0)
+    lower = max(degeneracy(g), 1 if g.num_edges else 0)
     upper = mf_width
     best_order = mf_order
     roots = _first_move_candidates(g)
+    hint = limits.lower_bound_hint
+    if hint > upper:
+        raise ValueError(f"lower bound hint {hint} exceeds the min-fill width {upper}")
 
-    while lower < upper:
-        verdict, order = _decide_width(g, lower, budget, roots)
+    k = max(lower, hint)
+    while k < upper:
+        verdict, order = _decide_width(g, k, budget, roots)
         if verdict is None:
             break
         if verdict:
-            upper = lower
+            upper = k
             best_order = order
             break
-        lower += 1
+        k += 1
+        lower = k
+    if lower < hint == upper:
+        # the hint, not a refutation, skipped the widths below it
+        verdict, _ = _decide_width(g, hint - 1, budget, roots)
+        if verdict:
+            raise ValueError(f"lower bound hint {hint} exceeds the treewidth")
+        if verdict is False:
+            lower = hint
 
     td = decomposition_from_elimination_order(g, best_order)
     status = "exact" if lower == upper else "bounds_only"
@@ -457,23 +474,20 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
 
 @dataclass(frozen=True)
 class CoveringBag:
-    """A bag meeting every element of a bramble, found by edge orientation.
-
-    via_separator is set when some tree-edge intersection already covered
-    the bramble; the reported node is then the smaller endpoint bag.
-    """
+    """The lowest-numbered bag of a tree decomposition that meets every
+    element of a bramble, and its node id."""
 
     node: int
     bag: int
-    via_separator: bool
 
 
 def covering_bag(td: TreeDecomposition, bramble) -> CoveringBag:
-    """Walk the decomposition toward the bramble and return a covering bag.
+    """Return the lowest-numbered bag that meets every bramble element.
 
-    Every element of the bramble must intersect the returned bag. A failure
-    to find one would contradict the defining property of brambles against
-    tree decompositions, so it raises instead of returning.
+    Every tree decomposition has a bag meeting every element of a bramble
+    (Seymour and Thomas, 1993), so a scan over the bags finds one. A failure
+    would mean the family is not a bramble, so it raises instead of
+    returning.
     """
     elements = bramble.elements
     if not elements:
@@ -483,69 +497,10 @@ def covering_bag(td: TreeDecomposition, bramble) -> CoveringBag:
         raise DecompositionError(
             f"covering bag needs a valid decomposition (condition {report.condition} fails)"
         )
-    k = td.num_bags
-    if k == 1:
-        if any(not (e & td.bags[0]) for e in elements):
-            raise RuntimeError("internal: single bag fails to cover the bramble")
-        return CoveringBag(0, td.bags[0], False)
-
-    nbr = [[] for _ in range(k)]
-    for a, b in td.edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-
-    def side_nodes(root: int, banned: int) -> list[int]:
-        seen = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in nbr[x]:
-                if y != banned and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return sorted(seen)
-
-    arrow: dict[tuple[int, int], int] = {}
-    for a, b in td.edges:
-        x = td.bags[a] & td.bags[b]
-        unhit = [e for e in elements if not e & x]
-        if not unhit:
-            small, other = (a, b) if (
-                td.bags[a].bit_count(),
-                a,
-            ) <= (td.bags[b].bit_count(), b) else (b, a)
-            return CoveringBag(small, td.bags[small], True)
-        ua = 0
-        for t in side_nodes(a, b):
-            ua |= td.bags[t]
-        ub = 0
-        for t in side_nodes(b, a):
-            ub |= td.bags[t]
-        target = None
-        for e in unhit:
-            if e & ua & ~x == e:
-                t = a
-            elif e & ub & ~x == e:
-                t = b
-            else:
-                raise RuntimeError("internal: bramble element straddles a separator it avoids")
-            if target is None:
-                target = t
-            elif target != t:
-                raise RuntimeError("internal: unhit elements disagree on orientation side")
-        arrow[(a, b)] = target
-        arrow[(b, a)] = target
-
-    node = 0
-    while True:
-        out = [y for y in nbr[node] if arrow[(node, y)] == y]
-        if not out:
-            break
-        node = out[0]
-    bag = td.bags[node]
-    if any(not (e & bag) for e in elements):
-        raise RuntimeError("internal: oriented walk ended at a non-covering bag")
-    return CoveringBag(node, bag, False)
+    for node, bag in enumerate(td.bags):
+        if all(e & bag for e in elements):
+            return CoveringBag(node, bag)
+    raise RuntimeError("no bag meets every element; the family is not a bramble")
 
 
 # --- family bounds report ---------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipwidth.brambles import (
     Bramble,
@@ -23,7 +26,6 @@ from chipwidth.brambles import (
     min_hitting_set,
     read_bramble,
     sets_touch,
-    verify_order_certificate,
     write_bramble,
 )
 from chipwidth.graphs import (
@@ -34,6 +36,7 @@ from chipwidth.graphs import (
     make_elementary,
     make_family,
 )
+from chipwidth.treewidth import covering_bag, exact_treewidth
 
 
 def mask(*vs: int) -> int:
@@ -47,14 +50,62 @@ def complete_graph(k: int) -> Graph:
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
-def oracle_order(elements: tuple[int, ...], n: int) -> int:
-    """Smallest hitting set by plain subset enumeration."""
+def oracle_hitting_set(elements: tuple[int, ...], n: int) -> tuple[int, int]:
+    """Smallest hitting set by plain subset enumeration: its size and the
+    lexicographically least one (combinations come in that order)."""
     for size in range(n + 1):
         for combo in combinations(range(n), size):
             s = mask(*combo)
             if all(s & e for e in elements):
-                return size
+                return size, s
     raise AssertionError("unhittable family")
+
+
+def pairwise_classification(g: Graph, elements: list[int]) -> tuple[str, tuple | None]:
+    """classify_family by the direct test of every pair, in index order."""
+    for i, e in enumerate(elements):
+        if not is_connected_set(g, e):
+            return "not_bramble", (i, i)
+    disjoint = None
+    for i, j in combinations(range(len(elements)), 2):
+        if not sets_touch(g, elements[i], elements[j]):
+            return "not_bramble", (i, j)
+        if disjoint is None and not elements[i] & elements[j]:
+            disjoint = (i, j)
+    return ("strict_bramble", None) if disjoint is None else ("bramble", disjoint)
+
+
+def subset_treewidth(g: Graph) -> int:
+    """Treewidth by the elimination recurrence over every vertex subset:
+    TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|), where Q(S, v)
+    holds the vertices outside S + v that v reaches through S."""
+
+    def q_size(s: int, v: int) -> int:
+        comp, frontier = 1 << v, 1 << v
+        while frontier:
+            reach = g.neighborhood(frontier) & ~comp
+            comp |= reach
+            frontier = reach & s
+        return (comp & ~s).bit_count() - 1
+
+    @lru_cache(maxsize=None)
+    def tw(s: int) -> int:
+        if s == 0:
+            return -1
+        return min(max(tw(s & ~(1 << v)), q_size(s & ~(1 << v), v))
+                   for v in bits_list(s))
+
+    return tw(g.full_mask)
+
+
+@st.composite
+def connected_graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
+    n = draw(st.integers(min_n, max_n))
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(combinations(range(n), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
 
 
 # --- predicates ------------------------------------------------------------------
@@ -89,6 +140,31 @@ def test_classify_strict():
     assert c.verdict == "strict_bramble" and c.counterexample is None
 
 
+@st.composite
+def element_families(draw) -> tuple[Graph, list[int]]:
+    g = draw(connected_graphs(min_n=2, max_n=9))
+    elements = []
+    for _ in range(draw(st.integers(1, 10))):
+        # grow a connected set from a root; now and then a raw mask, which
+        # may be disconnected
+        if draw(st.integers(0, 9)) == 0:
+            elements.append(draw(st.integers(1, g.full_mask)))
+            continue
+        e = 1 << draw(st.integers(0, g.n - 1))
+        for _ in range(draw(st.integers(0, g.n - 1))):
+            e |= 1 << draw(st.sampled_from(bits_list(g.neighborhood(e))))
+        elements.append(e)
+    return g, elements
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(element_families())
+def test_classify_matches_pairwise_reference(family):
+    g, elements = family
+    c = classify_family(g, elements)
+    assert (c.verdict, c.counterexample) == pairwise_classification(g, elements)
+
+
 # --- exact minimum hitting sets ----------------------------------------------------
 
 
@@ -96,7 +172,7 @@ def test_hitting_set_k4_edges():
     k4 = complete_graph(4)
     b = Bramble.from_elements(k4, [mask(i, j) for i, j in k4.edges], "k4_edges")
     cert = min_hitting_set(b)
-    assert cert.order == 3 == oracle_order(b.elements, 4)
+    assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, 4)
     assert bits_list(cert.witness) == [0, 1, 2]  # lexicographically least cover
 
 
@@ -107,7 +183,7 @@ def test_hitting_set_k5_triples():
     )
     assert classify_family(k5, b.elements).verdict == "strict_bramble"
     cert = min_hitting_set(b)
-    assert cert.order == 3 == oracle_order(b.elements, 5)
+    assert cert.order == 3 == oracle_hitting_set(b.elements, 5)[0]
 
 
 def test_hitting_set_engines_agree():
@@ -115,10 +191,9 @@ def test_hitting_set_engines_agree():
     b = Bramble.from_elements(
         k5, [mask(*c) for c in combinations(range(5), 3)], "k5_triples"
     )
-    bb = min_hitting_set(b)
-    full = min_hitting_set(b, exhaustive=True)
-    assert (bb.order, bb.witness) == (full.order, full.witness)
-    assert full.proof == "exhaustive" and bb.proof == "branch_and_bound"
+    cert = min_hitting_set(b)
+    assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, 5)
+    assert cert.proof == "branch_and_bound"
 
 
 def test_hitting_set_budget_error():
@@ -137,19 +212,6 @@ def test_witness_hits_everything():
     cert = min_hitting_set(b)
     assert all(cert.witness & e for e in b.elements)
     assert cert.witness.bit_count() == cert.order
-
-
-# --- certificates --------------------------------------------------------------------
-
-
-def test_order_certificate_verdicts():
-    g = make_family("grid", 3, 4)
-    b = gen_grid_bramble(g)
-    good = verify_order_certificate(b, 3)
-    assert good.verdict == "pass" and good.witness["order"] == 3
-    assert good.claim["claimed_order"] == 3 and good.timing is not None
-    bad = verify_order_certificate(b, 4)
-    assert bad.verdict == "fail" and bad.witness["order"] == 3
 
 
 # --- family generators ----------------------------------------------------------------
@@ -241,6 +303,23 @@ def test_balanced_bramble_matches_subset_enumeration():
                 if is_connected_set(g, mask(*c))}
         b = gen_balanced_bramble(g)
         assert len(b) == len(want) and set(b.elements) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(connected_graphs(min_n=2))
+def test_balanced_bramble_order_oracle(g):
+    # on any connected graph: strict, exact order and lex-least witness,
+    # strict order <= tw, and a bag of every decomposition covers it
+    b = gen_balanced_bramble(g)
+    assert classify_family(g, b.elements).verdict == "strict_bramble"
+    cert = min_hitting_set(b)
+    assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, g.n)
+    assert cert.order <= subset_treewidth(g)
+    td = exact_treewidth(g).decomposition
+    hit = covering_bag(td, b)
+    assert td.bags[hit.node] == hit.bag
+    assert all(hit.bag & e for e in b.elements)
+    assert not any(all(bag & e for e in b.elements) for bag in td.bags[:hit.node])
 
 
 def test_generator_regime_errors():

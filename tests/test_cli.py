@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from chipwidth.cli import main
+from chipwidth.graphs import Graph, write_gr
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -59,6 +60,21 @@ def test_tw_certificate(tmp_path, capsys):
     assert cert["timing"] is None
     # one search engine: there is no method to choose
     assert run(capsys, "tw", str(gr), "--method", "dp")[0] == 2
+
+
+def test_tw_overstated_lower_hint_is_an_error(tmp_path, capsys):
+    # tw 4, min-fill width 5: the search must not take the hint on trust
+    gr = tmp_path / "trap.gr"
+    gr.write_text(write_gr(Graph(10, [
+        (0, 2), (0, 7), (1, 2), (1, 5), (1, 6), (1, 8), (2, 4), (2, 5), (3, 4), (3, 5),
+        (3, 6), (3, 7), (4, 6), (4, 9), (5, 8), (5, 9), (7, 8), (8, 9)])))
+    assert json.loads(run(capsys, "tw", str(gr))[1])["witness"]["treewidth"] == 4
+    code, out, err = run(capsys, "tw", str(gr), "--lower-hint", "5")
+    assert code == 1 and out == "" and err.startswith("error:")
+    g33 = tmp_path / "g33.gr"
+    run(capsys, "gen", "grid", "3", "3", "-o", str(g33))
+    code, out, err = run(capsys, "tw", str(g33), "--lower-hint", "5")
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_tw_deterministic_bytes(tmp_path, capsys):
@@ -136,7 +152,9 @@ def test_bramble_order_claim_check(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     code, out, _ = run(capsys, "bramble", "order", "--family", "grid",
                        "--m", "3", "--n", "4", "--claimed", "4")
-    assert code == 1 and json.loads(out)["verdict"] == "fail"
+    cert = json.loads(out)
+    assert code == 1 and cert["verdict"] == "fail"
+    assert cert["claim"]["claimed_order"] == 4 and cert["witness"]["order"] == 3
 
 
 def test_bramble_generate_and_classify(tmp_path, capsys):
@@ -231,6 +249,15 @@ def test_reproduce_default_scope_flags_known_shortfall(capsys):
     assert "tw(Y8,4) claimed 8 computed - skipped_budget" in out
     summary = out.strip().splitlines()[-1]
     assert " mismatch 0 " in summary
+
+
+def test_reproduce_budget_is_per_row(capsys):
+    # a short budget caps each treewidth row; no row is skipped for time
+    code, out, _ = run(capsys, "reproduce", "--max-vertices", "32", "--budget-ms", "500")
+    assert code == 0
+    assert "tw(Y8,4) claimed 8 computed [" in out
+    summary = out.strip().splitlines()[-1]
+    assert summary.startswith("rows 20 ") and summary.endswith(" skipped_budget 0")
 
 
 def test_reproduce_rows_never_dropped(capsys):

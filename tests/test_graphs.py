@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipwidth.cli import main
 from chipwidth.graphs import (
@@ -220,6 +224,45 @@ def test_non_isomorphic_same_degree_sequence():
     k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
     assert not are_isomorphic(prism(3, 2), k33)
     assert not are_isomorphic(make_elementary("path", 5), make_elementary("cycle", 5))
+
+
+@st.composite
+def graph_pairs(draw) -> tuple[Graph, Graph]:
+    # same vertex and edge counts, so the cheap count checks rarely decide;
+    # h is a relabelled g, a relabelled g with one edge moved, or a fresh graph
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, k in zip(pairs, keep) if k]
+    g = Graph(n, edges)
+    how = draw(st.sampled_from(["relabel", "move", "fresh"]))
+    h_edges = list(edges)
+    if how == "move" and 0 < len(edges) < len(pairs):
+        h_edges.remove(draw(st.sampled_from(edges)))
+        h_edges.append(draw(st.sampled_from([p for p in pairs if p not in edges])))
+    elif how == "fresh" and pairs:
+        h_edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                                min_size=len(edges), max_size=len(edges)))
+    return g, Graph(n, h_edges).relabeled(draw(st.permutations(range(n))))
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(graph_pairs())
+def test_isomorphism_matches_networkx(pair):
+    g, h = pair
+    ok, mapping = are_isomorphic(g, h, return_mapping=True)
+    assert ok == nx.is_isomorphic(to_networkx(g), to_networkx(h))
+    if ok:
+        assert sorted(mapping) == list(range(g.n))
+        assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges) \
+            == sorted(h.edges)
 
 
 # --- .gr format -----------------------------------------------------------------

@@ -153,6 +153,28 @@ def test_valid_lower_hint_preserves_answer():
     assert res.treewidth == 3 and res.proof_status == "exact"
 
 
+# tw 4, degeneracy 3, min-fill width 5: a hint of 5 skips past the true width
+HINT_TRAP = Graph(10, [(0, 2), (0, 7), (1, 2), (1, 5), (1, 6), (1, 8), (2, 4), (2, 5),
+                       (3, 4), (3, 5), (3, 6), (3, 7), (4, 6), (4, 9), (5, 8), (5, 9),
+                       (7, 8), (8, 9)])
+
+
+def test_overstated_lower_hint_is_refused():
+    assert degeneracy(HINT_TRAP) == 3 and min_fill_order(HINT_TRAP)[1] == 5
+    assert exact_treewidth(HINT_TRAP).treewidth == 4
+    with pytest.raises(ValueError, match="exceeds the treewidth"):
+        exact_treewidth(HINT_TRAP, SolverLimits(lower_bound_hint=5))
+    with pytest.raises(ValueError, match="exceeds the min-fill width"):
+        exact_treewidth(make_family("grid", 3, 3), SolverLimits(lower_bound_hint=5))
+    res = exact_treewidth(HINT_TRAP, SolverLimits(lower_bound_hint=4))
+    assert (res.proof_status, res.lower, res.upper) == ("exact", 4, 4)
+    # the width below the hint is decided too; without budget for it the
+    # hint proves nothing
+    res = exact_treewidth(make_family("grid", 3, 3),
+                          SolverLimits(max_states=0, lower_bound_hint=3))
+    assert (res.proof_status, res.lower, res.upper) == ("bounds_only", 2, 3)
+
+
 def test_relabeling_invariance():
     rng = random.Random(11)
     for g in (make_family("grid", 3, 3),
