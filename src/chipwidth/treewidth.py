@@ -2,10 +2,13 @@
 
 The exact solver answers "is treewidth <= k" by depth-first search over
 elimination prefixes with memoized failed states. Each state is the bitmask
-of already-eliminated vertices; the fill degree of a remaining vertex v is
-the size of Q(S, v), the neighborhood of v's component in the graph induced
-by S + {v}. Iterating k upward from a lower bound until the first success
-yields the exact value together with a witness elimination order.
+of already-eliminated vertices S; the fill degree of a remaining vertex v is
+the size of Q(S, v), its neighborhood in the elimination graph on the
+vertices outside S. The search keeps that graph along the current path, as
+QuickBB does (Gogate and Dechter, 2004): eliminating v turns Q(S, v) into a
+clique, and the changed neighborhoods are restored on the way back.
+Iterating k upward from a lower bound until the first success yields the
+exact value together with a witness elimination order.
 
 The search visits every feasible prefix at most once, which makes it the
 classic subset dynamic program in top-down form. It runs under a state cap
@@ -25,7 +28,6 @@ from .graphs import (
     InvalidFamilyError,
     bits_list,
     iter_bits,
-    mask_connected,
     mask_of,
 )
 
@@ -296,38 +298,6 @@ class _Budget:
         return not self.exhausted
 
 
-def _fill_neighborhoods(adj: Sequence[int], s_mask: int, outside: int) -> list[int]:
-    """Q(S, v) for every v outside S, as masks indexed by vertex id.
-
-    Components of the induced subgraph on S are computed once; Q(S, v) is
-    adj[v] plus the adjacency unions of the components v touches, minus S.
-    """
-    comps: list[tuple[int, int]] = []
-    rem = s_mask
-    while rem:
-        low = rem & -rem
-        comp = low
-        reach_all = 0
-        frontier = low
-        while frontier:
-            reach = 0
-            for u in iter_bits(frontier):
-                reach |= adj[u]
-            reach_all |= reach
-            frontier = reach & s_mask & ~comp
-            comp |= frontier
-        comps.append((comp, reach_all))
-        rem &= ~comp
-    out: list[int] = [0] * len(adj)
-    for v in iter_bits(outside):
-        q = adj[v]
-        for comp, reach in comps:
-            if comp & adj[v]:
-                q |= reach
-        out[v] = q & ~s_mask & ~(1 << v)
-    return out
-
-
 def _decide_width(
     g: Graph, k: int, budget: _Budget, roots: list[int] | None = None
 ) -> tuple[bool | None, list[int] | None]:
@@ -337,51 +307,72 @@ def _decide_width(
     the question was settled.
     """
     n = g.n
-    full = g.full_mask
-    adj = g.adj
+    if n <= k + 1:
+        return True, sorted(range(n))
+    # h[v] is Q(S, v) for every v outside the prefix S on the current path:
+    # eliminating v joins h[v] into a clique, and returning undoes it
+    h = list(g.adj)
+    bit = [1 << v for v in range(n)]
+    bits: dict[int, list[int]] = {}
     failed: set[int] = set()
     path: list[int] = []
+    tick = budget.tick
 
-    def dfs(s_mask: int, depth: int) -> bool | None:
-        if n - depth <= k + 1:
-            return True
-        if s_mask in failed:
-            return False
-        if not budget.tick():
-            return None
-        outside = full & ~s_mask
-        q = _fill_neighborhoods(adj, s_mask, outside)
+    def expand(s_mask: int, depth: int, outside: list[int]) -> bool | None:
+        # s_mask holds depth vertices and has been counted; outside lists
+        # the other vertices in ascending order
         cand: list[tuple[int, int]] = []
-        for v in iter_bits(outside):
-            d = q[v].bit_count()
-            if d <= k:
-                cand.append((d, v))
         # simplicial vertices are safe forced moves; one with fill degree
         # above k certifies failure outright (it sits in a k+2 clique)
         forced = -1
-        for v in iter_bits(outside):
-            qv = q[v]
-            simplicial = True
-            for u in iter_bits(qv):
-                if qv & ~(1 << u) & ~q[u]:
-                    simplicial = False
+        for v in outside:
+            qv = h[v]
+            nbrs = bits.get(qv)
+            if nbrs is None:
+                nbrs = bits[qv] = bits_list(qv)
+            d = len(nbrs)
+            if d <= k:
+                cand.append((d, v))
+            for u in nbrs:
+                if qv & ~h[u] != bit[u]:
                     break
-            if simplicial:
-                if qv.bit_count() > k:
+            else:
+                if d > k:
                     failed.add(s_mask)
                     return False
                 if forced < 0:
                     forced = v
         if forced >= 0:
-            res = dfs(s_mask | (1 << forced), depth + 1)
-            if res:
-                path.append(forced)
-            elif res is False:
-                failed.add(s_mask)
-            return res
+            return descend(s_mask, depth, outside, [forced])
         cand.sort()
-        for _, v in cand:
-            res = dfs(s_mask | (1 << v), depth + 1)
+        return descend(s_mask, depth, outside, [v for _, v in cand])
+
+    def descend(s_mask: int, depth: int, outside: list[int], moves: list[int]) -> bool | None:
+        # try the moves out of s_mask in order; a child is settled without
+        # eliminating into it when it leaves at most k + 1 vertices or is a
+        # known failure, and otherwise costs a tick
+        if n - depth - 1 <= k + 1:
+            if moves:
+                path.append(moves[0])
+                return True
+            failed.add(s_mask)
+            return False
+        for v in moves:
+            child = s_mask | bit[v]
+            if child in failed:
+                continue
+            if not tick():
+                return None
+            hv = h[v]
+            nbrs = bits.get(hv)
+            if nbrs is None:
+                nbrs = bits[hv] = bits_list(hv)
+            saved = [h[u] for u in nbrs]
+            for u in nbrs:
+                h[u] = (h[u] | hv) ^ (bit[u] | bit[v])
+            res = expand(child, depth + 1, [u for u in outside if u != v])
+            for u, hu in zip(nbrs, saved):
+                h[u] = hu
             if res:
                 path.append(v)
                 return True
@@ -390,24 +381,16 @@ def _decide_width(
         failed.add(s_mask)
         return False
 
+    # root moves restricted to orbit representatives; fill degree at the
+    # empty prefix is the plain degree
     if roots is None:
         roots = list(range(n))
-    if n <= k + 1:
-        return True, sorted(range(n))
-    for r in roots:
-        # root moves restricted to orbit representatives; fill degree at the
-        # empty prefix is the plain degree
-        if g.degree(r) > k:
-            continue
-        res = dfs(1 << r, 1)
-        if res:
-            path.append(r)
-            prefix = list(reversed(path))
-            rest = sorted(set(range(n)) - set(prefix))
-            return True, prefix + rest
-        if res is None:
-            return None, None
-    return False, None
+    res = descend(0, 0, list(range(n)), [r for r in roots if g.degree(r) <= k])
+    if not res:
+        return res, None
+    prefix = list(reversed(path))
+    rest = sorted(set(range(n)) - set(prefix))
+    return True, prefix + rest
 
 
 def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult:

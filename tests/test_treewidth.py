@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipwidth.brambles import gen_grid_bramble, gen_torus_fg, min_hitting_set
-from chipwidth.graphs import Graph, make_elementary, make_family, row_collapse_minor
+from chipwidth.graphs import Graph, iter_bits, make_elementary, make_family, row_collapse_minor
 from chipwidth.treewidth import (
     NotATreeError,
     SolverLimits,
@@ -233,6 +234,129 @@ def test_exact_matches_brute_force_and_min_fill(g):
     h.add_edges_from(g.edges)
     nx_width, _ = nx.algorithms.approximation.treewidth_min_fill_in(h)
     assert res.treewidth <= nx_width
+
+
+# --- the path-kept elimination graph against the component-based search ----------
+
+
+def oracle_fill_neighborhoods(adj, s_mask: int, outside: int) -> list[int]:
+    """Q(S, v) for every v outside S, from the components of S."""
+    comps = []
+    rem = s_mask
+    while rem:
+        comp = frontier = rem & -rem
+        reach_all = 0
+        while frontier:
+            reach = 0
+            for u in iter_bits(frontier):
+                reach |= adj[u]
+            reach_all |= reach
+            frontier = reach & s_mask & ~comp
+            comp |= frontier
+        comps.append((comp, reach_all))
+        rem &= ~comp
+    out = [0] * len(adj)
+    for v in iter_bits(outside):
+        q = adj[v]
+        for comp, reach in comps:
+            if comp & adj[v]:
+                q |= reach
+        out[v] = q & ~s_mask & ~(1 << v)
+    return out
+
+
+def oracle_decide_width(g: Graph, k: int, budget: _Budget, roots=None):
+    """The width search as it was before it kept the elimination graph:
+    Q(S, v) is rebuilt from the components of S at every state."""
+    n, full, adj = g.n, g.full_mask, g.adj
+    failed: set[int] = set()
+    path: list[int] = []
+
+    def dfs(s_mask: int, depth: int):
+        if n - depth <= k + 1:
+            return True
+        if s_mask in failed:
+            return False
+        if not budget.tick():
+            return None
+        outside = full & ~s_mask
+        q = oracle_fill_neighborhoods(adj, s_mask, outside)
+        cand = [(q[v].bit_count(), v) for v in iter_bits(outside) if q[v].bit_count() <= k]
+        forced = -1
+        for v in iter_bits(outside):
+            qv = q[v]
+            if all(not qv & ~(1 << u) & ~q[u] for u in iter_bits(qv)):
+                if qv.bit_count() > k:
+                    failed.add(s_mask)
+                    return False
+                if forced < 0:
+                    forced = v
+        if forced >= 0:
+            res = dfs(s_mask | (1 << forced), depth + 1)
+            if res:
+                path.append(forced)
+            elif res is False:
+                failed.add(s_mask)
+            return res
+        for _, v in sorted(cand):
+            res = dfs(s_mask | (1 << v), depth + 1)
+            if res:
+                path.append(v)
+                return True
+            if res is None:
+                return None
+        failed.add(s_mask)
+        return False
+
+    if n <= k + 1:
+        return True, sorted(range(n))
+    for r in range(n) if roots is None else roots:
+        if g.degree(r) > k:
+            continue
+        res = dfs(1 << r, 1)
+        if res:
+            path.append(r)
+            prefix = path[::-1]
+            return True, prefix + sorted(set(range(n)) - set(prefix))
+        if res is None:
+            return None, None
+    return False, None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(connected_graphs(max_n=9), st.integers(0, 60), st.data())
+def test_search_matches_component_oracle(g, cap, data):
+    # same verdict, same witness order and the same number of counted
+    # states at every width, with and without a state cap cutting it short,
+    # from all roots and from a subset of them
+    roots = data.draw(st.none() | st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    for k in range(g.n):
+        for max_states in (10**6, cap):
+            ours, theirs = _Budget(max_states, None), _Budget(max_states, None)
+            got = _decide_width(g, k, ours, roots)
+            want = oracle_decide_width(g, k, theirs, roots)
+            assert got == want and ours.states == theirs.states, (k, max_states)
+
+
+# sha256 of write_td, first 16 hex digits, recorded from the component-based
+# search; any change to the states visited or their order shows up here
+PINNED_SEARCHES = [
+    ("grid", 5, 4, None, "exact", 4, 4, 3128, "353917de3377ffc5"),
+    ("toroidal_grid", 4, 4, None, "exact", 6, 6, 354, "b72123f1f791cc82"),
+    ("toroidal_grid", 5, 3, None, "exact", 6, 6, 403, "996265c7e92f6664"),
+    ("toroidal_grid", 6, 3, None, "exact", 6, 6, 1681, "6b4cc05bd2301155"),
+    ("stacked_prism", 8, 4, 4000, "bounds_only", 4, 8, 4001, "9a16d6b6f979c40b"),
+]
+
+
+@pytest.mark.parametrize("kind,m,n,cap,status,lower,upper,states,td_digest", PINNED_SEARCHES)
+def test_search_pinned_on_family_graphs(kind, m, n, cap, status, lower, upper, states,
+                                        td_digest):
+    limits = SolverLimits() if cap is None else SolverLimits(max_states=cap)
+    res = exact_treewidth(make_family(kind, m, n), limits)
+    assert (res.proof_status, res.lower, res.upper, res.states) == (status, lower, upper, states)
+    digest = hashlib.sha256(write_td(res.decomposition).encode()).hexdigest()[:16]
+    assert digest == td_digest
 
 
 # --- minors only lower the width -------------------------------------------------
