@@ -2,9 +2,17 @@
 
 A bramble is a family of connected vertex sets that pairwise touch (share a
 vertex or an edge between them); it is strict when all pairs share a vertex.
-The order of a bramble is the size of a minimum hitting set, computed here
-exactly by branch and bound. A bramble of order w certifies treewidth
->= w - 1, and a strict one certifies treewidth >= w.
+The order of a bramble is the size of a minimum hitting set. A bramble of
+order w certifies treewidth >= w - 1, and a strict one certifies
+treewidth >= w.
+
+Classification and the order both work on holders[v], the bitset of the
+indices of the elements that hold vertex v. The order comes from one
+decision search, asked for each size in turn from a degree-sum lower bound
+up: it branches on the vertices of the smallest unhit element, drops each
+tried vertex from the later branches, and prunes where the largest unhit
+counts of the allowed vertices cannot add up to the unhit elements. The
+same search fixes the lexicographically least optimal witness slot by slot.
 """
 
 from __future__ import annotations
@@ -102,11 +110,14 @@ class Classification:
 @dataclass(frozen=True)
 class OrderCertificate:
     """Exact minimum hitting set: its size and the lexicographically least
-    optimal witness. proof is always branch_and_bound, the only engine."""
+    optimal witness. proof is always branch_and_bound, the only engine.
+    nodes counts the decision-search calls behind the order and the witness;
+    it is deterministic for a given element set."""
 
     order: int
     witness: int
     proof: str
+    nodes: int
 
 
 def is_connected_set(g: Graph, s: int) -> bool:
@@ -125,19 +136,24 @@ def sets_touch(g: Graph, a: int, b: int) -> bool:
     return bool(g.neighborhood(a) & b)
 
 
+def _element_holders(elements: list[int], n: int) -> list[int]:
+    """holders[v] is the bitset of the indices of the elements holding v."""
+    rows = [bytearray((len(elements) + 7) // 8) for _ in range(n)]
+    for i, e in enumerate(elements):
+        for v in iter_bits(e):
+            rows[v][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(r, "little") for r in rows]
+
+
 def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
     """Name the first non-touching pair, else the first disjoint pair, in
-    index order. holders[v] is the bitset of element indices holding v, so
-    an element meets and touches others through a few big-int ORs."""
+    index order. Through the per-vertex holders bitsets an element meets and
+    touches the others in a few big-int ORs."""
     elems = list(elements)
     for i, e in enumerate(elems):
         if e == 0 or not is_connected_set(g, e):
             return Classification(NOT_BRAMBLE, (i, i))
-    rows = [bytearray((len(elems) + 7) // 8) for _ in range(g.n)]
-    for i, e in enumerate(elems):
-        for v in iter_bits(e):
-            rows[v][i >> 3] |= 1 << (i & 7)
-    holders = [int.from_bytes(r, "little") for r in rows]
+    holders = _element_holders(elems, g.n)
     later = (1 << len(elems)) - 1  # indices above i once bit i is cleared
     disjoint_pair: tuple[int, int] | None = None
     for i, e in enumerate(elems):
@@ -162,21 +178,20 @@ def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
 # --- exact minimum hitting set ----------------------------------------------
 
 
-def _greedy_hitting_set(elements: list[int], n: int) -> int:
-    unhit = list(elements)
+def _greedy_hitting_set(holders: list[int], unhit: int) -> int:
+    """Take the vertex in the most unhit elements, ties to the lowest id,
+    until every element is hit."""
     chosen = 0
     while unhit:
-        counts = [0] * n
-        for e in unhit:
-            for v in iter_bits(e):
-                counts[v] += 1
-        v = max(range(n), key=lambda u: (counts[u], -u))
+        v = max(range(len(holders)),
+                key=lambda u: ((unhit & holders[u]).bit_count(), -u))
         chosen |= bit(v)
-        unhit = [e for e in unhit if not e >> v & 1]
+        unhit &= ~holders[v]
     return chosen
 
 
-def _packing_bound(elements: list[int]) -> int:
+def _packing_bound(elements: Iterable[int]) -> int:
+    """Size of a first-fit packing of pairwise disjoint elements."""
     taken = 0
     count = 0
     for e in elements:
@@ -186,98 +201,110 @@ def _packing_bound(elements: list[int]) -> int:
     return count
 
 
-def _min_unhit_element(unhit: list[int]) -> int:
-    best = unhit[0]
-    best_key = (best.bit_count(), best & -best, best)
-    for e in unhit[1:]:
-        key = (e.bit_count(), e & -e, e)
-        if key < best_key:
-            best, best_key = e, key
-    return best
+class _HittingSearch:
+    """Decision search for hitting sets over element-index bitsets.
 
+    Elements are sorted once by (size, lowest vertex, mask), so the lowest
+    set bit of an unhit bitset names the smallest unhit element. holders[v]
+    is the bitset of the element indices holding v. nodes counts the calls
+    of exists, the work measure of the search.
+    """
 
-def _branch_and_bound(elements: list[int], budget: int) -> int | None:
-    """Size of a minimum hitting set, or None if it exceeds the budget."""
-    best: int | None = None
+    def __init__(self, elements: Iterable[int], n: int):
+        self.elements = sorted(elements, key=lambda e: (e.bit_count(), e & -e, e))
+        self.holders = _element_holders(self.elements, n)
+        self.n = n
+        self.everything = (1 << len(self.elements)) - 1
+        self.nodes = 0
 
-    def search(chosen_count: int, unhit: list[int]) -> None:
-        nonlocal best
+    def degree_bound(self, unhit: int, allowed: int) -> int:
+        """Fewest allowed vertices whose unhit counts, largest first, add up
+        to the number of unhit elements; n + 1 if some element has no
+        allowed vertex."""
+        counts = []
+        covered = 0
+        for v in iter_bits(allowed):
+            hit = unhit & self.holders[v]
+            if hit:
+                counts.append(hit.bit_count())
+                covered |= hit
+        if covered != unhit:
+            return self.n + 1
+        counts.sort(reverse=True)
+        need = unhit.bit_count()
+        for used, c in enumerate(counts, start=1):
+            need -= c
+            if need <= 0:
+                return used
+        return 0
+
+    def exists(self, unhit: int, size: int, allowed: int) -> bool:
+        """Can `size` vertices of the allowed mask hit every unhit element?
+
+        Branches on the allowed vertices of the smallest unhit element; a
+        vertex once tried leaves `allowed` for the siblings after it, so no
+        vertex set is searched twice."""
+        self.nodes += 1
         if not unhit:
-            if best is None or chosen_count < best:
-                best = chosen_count
-            return
-        bound = chosen_count + _packing_bound(unhit)
-        if bound > budget or (best is not None and bound >= best):
-            return
-        element = _min_unhit_element(unhit)
-        for v in iter_bits(element):
-            search(chosen_count + 1, [e for e in unhit if not e >> v & 1])
-
-    search(0, elements)
-    return best
-
-
-def _exists_hitting_set(elements: list[int], size: int, allowed: int) -> bool:
-    """Can `size` vertices drawn from the allowed mask hit everything?"""
-    if not elements:
-        return True
-    if size <= 0:
-        return False
-    usable = [e & allowed for e in elements]
-    if any(e == 0 for e in usable):
-        return False
-    if _packing_bound(usable) > size:
-        return False
-    element = _min_unhit_element(usable)
-    for v in iter_bits(element):
-        rest = [e for e, u in zip(elements, usable) if not u >> v & 1]
-        if _exists_hitting_set(rest, size - 1, allowed):
             return True
-    return False
+        if size <= 0 or self.degree_bound(unhit, allowed) > size:
+            return False
+        element = self.elements[(unhit & -unhit).bit_length() - 1]
+        for v in iter_bits(element & allowed):
+            allowed &= ~bit(v)
+            if self.exists(unhit & ~self.holders[v], size - 1, allowed):
+                return True
+        return False
 
-
-def _lex_least_witness(elements: list[int], order: int, n: int) -> int:
-    witness = 0
-    remaining = elements
-    floor = 0
-    for slot in range(order):
-        left = order - slot - 1
-        for v in range(floor, n):
-            rest = [e for e in remaining if not e >> v & 1]
-            allowed = ((1 << n) - 1) & ~((1 << (v + 1)) - 1)
-            if _exists_hitting_set(rest, left, allowed):
-                witness |= bit(v)
-                remaining = rest
-                floor = v + 1
-                break
-        else:
-            raise AssertionError("witness reconstruction lost feasibility")
-    return witness
+    def lex_least(self, order: int) -> int:
+        """The lexicographically least hitting set of the given (optimal)
+        size, fixed one slot at a time."""
+        witness = 0
+        unhit = self.everything
+        floor = 0
+        for slot in range(order):
+            left = order - slot - 1
+            for v in range(floor, self.n):
+                rest = unhit & ~self.holders[v]
+                above = ((1 << self.n) - 1) & ~((1 << (v + 1)) - 1)
+                if self.exists(rest, left, above):
+                    witness |= bit(v)
+                    unhit = rest
+                    floor = v + 1
+                    break
+            else:
+                raise AssertionError("witness reconstruction lost feasibility")
+        return witness
 
 
 def min_hitting_set(b: Bramble, budget: int | None = None) -> OrderCertificate:
     """Exact minimum hitting set of the bramble's elements.
 
-    Branches on the vertices of a minimum-cardinality unhit element (ties to
-    the element containing the lowest vertex id) with a greedy disjoint
-    packing lower bound. The witness is the lexicographically least optimal
-    hitting set, so equal inputs always give byte-equal certificates. A
-    budget smaller than the true order raises OrderBudgetError carrying the
-    best known bounds.
+    Counts up from the degree-sum bound at the root and asks a decision
+    search for a hitting set of each size in turn, until one exists, the
+    size reaches that of a greedy hitting set, or it passes the budget. The
+    search branches on the vertices of the smallest unhit element, each
+    tried vertex barred from the branches after it, and prunes with the
+    degree-sum bound over per-vertex bitsets of element indices. The
+    witness is the lexicographically least optimal hitting set, so equal
+    inputs always give byte-equal certificates. A budget smaller than the
+    true order raises OrderBudgetError carrying the best known bounds: a
+    first-fit disjoint packing (or budget + 1) below, the greedy hitting
+    set above.
     """
     n = b.graph.n
     if budget is None:
         budget = n
-    elements = list(b.elements)
-    greedy = _greedy_hitting_set(elements, n)
-    upper = greedy.bit_count()
-    optimum = _branch_and_bound(elements, min(budget, upper))
-    if optimum is None:
-        raise OrderBudgetError(
-            max(_packing_bound(elements), budget + 1), upper
-        )
-    witness = _lex_least_witness(elements, optimum, n)
-    return OrderCertificate(optimum, witness, "branch_and_bound")
+    search = _HittingSearch(b.elements, n)
+    full = (1 << n) - 1
+    upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
+    k = search.degree_bound(search.everything, full)
+    while k < upper and k <= budget and not search.exists(search.everything, k, full):
+        k += 1
+    if k > budget:
+        raise OrderBudgetError(max(_packing_bound(b.elements), budget + 1), upper)
+    witness = search.lex_least(k)
+    return OrderCertificate(k, witness, "branch_and_bound", search.nodes)
 
 
 # --- generators --------------------------------------------------------------

@@ -201,9 +201,90 @@ def test_hitting_set_budget_error():
     b = Bramble.from_elements(
         k5, [mask(*c) for c in combinations(range(5), 3)], "k5_triples"
     )
+    # lower = max(first-fit packing, budget + 1), upper = greedy size
+    for budget, bounds in ((2, (3, 3)), (1, (2, 3)), (0, (1, 3))):
+        with pytest.raises(OrderBudgetError) as exc:
+            min_hitting_set(b, budget=budget)
+        assert (exc.value.lower, exc.value.upper) == bounds
+    # every vertex holds two elements; greedy takes 0 then 1, where taking
+    # the highest tied vertex 2 first would need 3
+    b = Bramble.from_elements(Graph(3, []), [mask(0), mask(1), mask(0, 2), mask(1, 2)])
     with pytest.raises(OrderBudgetError) as exc:
-        min_hitting_set(b, budget=2)
-    assert exc.value.lower >= 3
+        min_hitting_set(b, budget=1)
+    assert (exc.value.lower, exc.value.upper) == (2, 2)
+
+
+def first_fit_packing(elements: tuple[int, ...]) -> int:
+    """Disjoint elements taken first-fit in the given order."""
+    taken = count = 0
+    for e in elements:
+        if not e & taken:
+            taken |= e
+            count += 1
+    return count
+
+
+def greedy_size(elements: tuple[int, ...], n: int) -> int:
+    """Vertices a greedy cover takes: most unhit elements first, ties to
+    the lowest vertex id."""
+    unhit = list(elements)
+    size = 0
+    while unhit:
+        v = max(range(n), key=lambda u: (sum(e >> u & 1 for e in unhit), -u))
+        unhit = [e for e in unhit if not e >> v & 1]
+        size += 1
+    return size
+
+
+@st.composite
+def set_families(draw) -> tuple[Bramble, int | None]:
+    # arbitrary vertex sets, not only brambles: singletons and pairs, sets
+    # that miss each other, and duplicates that from_elements drops
+    n = draw(st.integers(1, 12))
+    small = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3))
+    any_size = st.sets(st.integers(0, n - 1), min_size=1)
+    sets = draw(st.lists(st.one_of(small, any_size), min_size=1, max_size=14))
+    b = Bramble.from_elements(Graph(n, []), [mask(*e) for e in sets], "random")
+    return b, draw(st.one_of(st.none(), st.integers(-1, n)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(set_families())
+def test_hitting_set_matches_oracle(family):
+    b, budget = family
+    n = b.graph.n
+    order, witness = oracle_hitting_set(b.elements, n)
+    if order > (n if budget is None else budget):
+        with pytest.raises(OrderBudgetError) as exc:
+            min_hitting_set(b, budget)
+        assert exc.value.lower == max(first_fit_packing(b.elements), budget + 1)
+        assert exc.value.upper == greedy_size(b.elements, n)
+        return
+    cert = min_hitting_set(b, budget)
+    assert (cert.order, cert.witness) == (order, witness)
+
+
+# (kind, m, n, generator): order, lex-least witness, search nodes
+STOCK_ORDERS = {
+    ("grid", 4, 4, gen_grid_bramble): (4, [0, 1, 2, 3], 52),
+    ("grid", 5, 5, gen_grid_bramble): (5, [0, 1, 2, 3, 4], 399),
+    ("stacked_prism", 7, 3, gen_prism_b1): (6, [0, 1, 2, 3, 4, 5], 2079),
+    ("stacked_prism", 5, 4, gen_prism_b2): (5, [0, 4, 8, 12, 16], 605),
+    ("toroidal_grid", 4, 3, gen_torus_fg): (6, [0, 1, 2, 3, 4, 5], 259),
+    ("toroidal_grid", 5, 3, gen_torus_cde): (5, [0, 1, 2, 3, 4], 280),
+    ("toroidal_grid", 6, 3, gen_torus_cde): (5, [0, 1, 3, 4, 8], 451),
+    ("toroidal_grid", 5, 3, gen_balanced_bramble): (6, [0, 1, 2, 3, 7, 8], 751),
+    ("stacked_prism", 7, 4, gen_prism_b2): (7, [0, 1, 2, 3, 4, 5, 6], 22374),
+}
+
+
+def test_stock_orders_pinned():
+    # certificates must stay byte-identical, and nodes pin the decision
+    # search's work so that it cannot grow silently. prism_b2 on Y7,4
+    # (order 7) is the checked lower witness on the minor of Y8,4
+    for (kind, m, n, gen), want in STOCK_ORDERS.items():
+        cert = min_hitting_set(gen(make_family(kind, m, n)))
+        assert (cert.order, bits_list(cert.witness), cert.nodes) == want, (kind, m, n)
 
 
 def test_witness_hits_everything():
