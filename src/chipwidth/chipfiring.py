@@ -8,6 +8,15 @@ debt consolidation followed by Dhar's burning loop) is unique, which makes
 equivalence decidable and drives the winning test of the gonality game:
 d wins iff for every vertex v the v-reduced form of d - (v) is effective.
 
+One Dhar burn serves both q_reduce and the winning test (Dhar 1990). Fire
+spreads from the base vertex over neighbour lists with a stack, and a
+vertex catches fire once its burnt neighbours outnumber its chips, so one
+round costs O(E); the unburnt set is then fired once. The winning test
+skips every v with d(v) >= 1, where d - (v) is already effective, and
+otherwise burns from v starting at d - (v): it stops with "survives" as
+soon as v is out of debt, because firing sets without v only adds chips
+to v, and with "loses" when the fire reaches every vertex.
+
 Edge multiplicities matter here, so these operations refuse graphs whose
 contraction history collapsed parallel edges (Graph.lossy_contraction).
 """
@@ -16,7 +25,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import GRID_KINDS, Graph, InvalidFamilyError, iter_bits, line_vertices
@@ -127,6 +138,42 @@ def _fire_set(g: Graph, chips: list[int], members: int) -> None:
                 chips[u] += 1
 
 
+def _neighbor_lists(g: Graph, what: str) -> list[list[int]]:
+    if not g.is_connected():
+        raise ChipFiringError(f"{what} needs a connected graph")
+    return [g.neighbors(v) for v in range(g.n)]
+
+
+def _burn_and_fire(nbrs: list[list[int]], chips: list[int], q: int) -> list[int]:
+    """One round of Dhar's burning from q: fire spreads to a vertex once its
+    burnt neighbours outnumber its chips; the unburnt set then fires once.
+    Returns the fired vertices, empty when the fire reached every vertex."""
+    n = len(nbrs)
+    heat = [0] * n
+    burnt = [False] * n
+    burnt[q] = True
+    stack = [q]
+    left = n - 1
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if not burnt[w]:
+                heat[w] += 1
+                if heat[w] > chips[w]:
+                    burnt[w] = True
+                    stack.append(w)
+                    left -= 1
+    if not left:
+        return []
+    fired = [w for w in range(n) if not burnt[w]]
+    for w in fired:
+        # heat[w] counts all burnt neighbours of an unburnt w
+        chips[w] -= heat[w]
+        for u in nbrs[w]:
+            if burnt[u]:
+                chips[u] += 1
+    return fired
+
+
 _LOOP_CAP = 10_000_000
 
 
@@ -143,8 +190,7 @@ def q_reduce(g: Graph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     _check_divisor(g, d)
     if not 0 <= q < g.n:
         raise ChipFiringError(f"vertex {q} out of range")
-    if not g.is_connected():
-        raise ChipFiringError("q-reduction needs a connected graph")
+    nbrs = _neighbor_lists(g, "q-reduction")
     n = g.n
     chips = list(d.chips)
     script = [0] * n
@@ -163,21 +209,11 @@ def q_reduce(g: Graph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     else:
         raise ChipFiringError("internal: debt consolidation failed to settle")
 
-    full = g.full_mask
     for _ in range(_LOOP_CAP):
-        burnt = qbit
-        growing = True
-        while growing:
-            growing = False
-            for v in iter_bits(full & ~burnt):
-                if chips[v] < (g.adj[v] & burnt).bit_count():
-                    burnt |= 1 << v
-                    growing = True
-        unburnt = full & ~burnt
-        if not unburnt:
+        fired = _burn_and_fire(nbrs, chips, q)
+        if not fired:
             break
-        _fire_set(g, chips, unburnt)
-        for v in iter_bits(unburnt):
+        for v in fired:
             script[v] += 1
     else:
         raise ChipFiringError("internal: burning loop failed to stabilize")
@@ -204,20 +240,39 @@ def divisors_equivalent(
     return True, diff
 
 
+def _losing_vertex(nbrs: list[list[int]], chips: tuple[int, ...]) -> int | None:
+    """Lowest v whose v-reduced form of d - (v) is in debt at v, or None.
+
+    Vertices with d(v) >= 1 are skipped. Otherwise the burn from v starts at
+    d - (v) and stops at the first firing that brings v out of debt.
+    """
+    for v, dv in enumerate(chips):
+        if dv:
+            continue
+        c = list(chips)
+        c[v] = -1
+        while True:
+            if not _burn_and_fire(nbrs, c, v):
+                return v
+            if c[v] >= 0:
+                break
+    return None
+
+
 def is_winning_divisor(g: Graph, d: Divisor) -> tuple[bool, int | None]:
     """Can d pay off any single opponent chip? Returns the first vertex
-    where it cannot (lowest id), or None when d wins everywhere."""
+    where it cannot (lowest id), or None when d wins everywhere.
+
+    d loses at v iff the v-reduced form of d - (v) is in debt at v. The
+    test skips every v with d(v) >= 1 and runs Dhar's burn from v on
+    d - (v) otherwise, stopping as soon as v is out of debt.
+    """
     _check_graph(g)
     _check_divisor(g, d)
     if not d.is_effective:
         raise ChipFiringError("the gonality game starts from an effective divisor")
-    for v in range(g.n):
-        attacked = list(d.chips)
-        attacked[v] -= 1
-        reduced, _ = q_reduce(g, Divisor(tuple(attacked)), v)
-        if reduced.chips[v] < 0:
-            return False, v
-    return True, None
+    fail_v = _losing_vertex(_neighbor_lists(g, "the gonality game"), d.chips)
+    return fail_v is None, fail_v
 
 
 @dataclass(frozen=True)
@@ -228,7 +283,9 @@ class GonalityResult:
     and losing_proof lists, for every effective divisor of degree
     gonality - 1, the first opponent vertex that defeats it. Budget or
     max_degree exhaustion yields status "lower_bound_only" with gonality
-    None and lower = 1 + the largest fully refuted degree.
+    None and lower = 1 + the largest fully refuted degree. reductions
+    counts the per-vertex winning tests run (vertices with d(v) >= 1 are
+    skipped, so they do not count); it is deterministic.
     """
 
     gonality: int | None
@@ -237,19 +294,18 @@ class GonalityResult:
     losing_proof: tuple[tuple[tuple[int, ...], int], ...]
     lower: int
     divisors_checked: int
+    reductions: int
 
 
 def _effective_divisors(n: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """All chip tuples of the given degree, in ascending lexicographic order."""
+    """All chip tuples of the given degree, in ascending lexicographic order.
 
-    def rec(prefix: list[int], left: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield tuple(prefix + [left])
-            return
-        for c in range(left + 1):
-            yield from rec(prefix + [c], left - c, slots - 1)
-
-    yield from rec([], degree, n)
+    Stars and bars: the running sums of the first n - 1 entries are a
+    non-decreasing sequence in [0, degree], and those sequences come out of
+    combinations_with_replacement in the same lexicographic order.
+    """
+    for sums in combinations_with_replacement(range(degree + 1), n - 1):
+        yield tuple(map(sub, (*sums, degree), (0, *sums)))
 
 
 def exact_gonality(
@@ -261,29 +317,36 @@ def exact_gonality(
 
     Degrees are scanned upward; within a degree, divisors are tried in
     lexicographic order, so the reported winner is the lexicographically
-    least one of minimum degree. No symmetry reduction is attempted.
+    least one of minimum degree. No symmetry reduction is attempted. The
+    graph is checked once; each divisor then gets the winning test of
+    is_winning_divisor (the burn from each v with d(v) = 0, stopping once v
+    is out of debt), at O(E) per burning round.
     """
     _check_graph(g)
+    nbrs = _neighbor_lists(g, "the gonality game")
     if max_degree is None:
         max_degree = g.n  # one chip everywhere always wins
     checked = 0
+    reductions = 0
     last_losing: list[tuple[tuple[int, ...], int]] = []
     for k in range(max_degree + 1):
         count = comb(g.n + k - 1, k) if k else 1
         if checked + count > enumeration_cap:
             return GonalityResult(None, "lower_bound_only", None,
-                                  tuple(last_losing), k, checked)
+                                  tuple(last_losing), k, checked, reductions)
         losing: list[tuple[tuple[int, ...], int]] = []
         for chips in _effective_divisors(g.n, k):
             checked += 1
-            win, fail_v = is_winning_divisor(g, Divisor(chips))
-            if win:
+            fail_v = _losing_vertex(nbrs, chips)
+            if fail_v is None:
+                reductions += chips.count(0)
                 return GonalityResult(k, "exact", Divisor(chips),
-                                      tuple(last_losing), k, checked)
+                                      tuple(last_losing), k, checked, reductions)
+            reductions += chips[:fail_v + 1].count(0)
             losing.append((chips, fail_v))
         last_losing = losing
     return GonalityResult(None, "lower_bound_only", None,
-                          tuple(last_losing), max_degree + 1, checked)
+                          tuple(last_losing), max_degree + 1, checked, reductions)
 
 
 def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:

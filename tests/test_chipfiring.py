@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipwidth.chipfiring import (
     ChipFiringError,
     Divisor,
     FiringScript,
     MultiplicityLostError,
+    _effective_divisors,
     apply_firing_script,
     divisors_equivalent,
     exact_gonality,
@@ -156,6 +161,166 @@ def test_gonality_budget_degrades_to_lower_bound():
     assert res.lower == 1
 
 
+@st.composite
+def connected_graphs(draw, max_n: int = 9) -> Graph:
+    n = draw(st.integers(1, max_n))
+    # a random spanning tree keeps the graph connected; extra edges on top
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+@st.composite
+def graphs_with_effective_divisors(draw) -> tuple[Graph, Divisor]:
+    g = draw(connected_graphs())
+    degree = draw(st.integers(0, 6))
+    chips = [0] * g.n
+    for v in draw(st.lists(st.integers(0, g.n - 1), min_size=degree, max_size=degree)):
+        chips[v] += 1
+    return g, Divisor(tuple(chips))
+
+
+def rescan_reduce(g: Graph, chips: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """q-reduced form of a divisor that is effective off q, by a burning
+    loop that rescans every unburnt vertex until the burnt set is stable."""
+    chips = list(chips)
+    while True:
+        burnt = 1 << q
+        growing = True
+        while growing:
+            growing = False
+            for v in range(g.n):
+                if not burnt >> v & 1 and chips[v] < (g.adj[v] & burnt).bit_count():
+                    burnt |= 1 << v
+                    growing = True
+        if burnt == g.full_mask:
+            return tuple(chips)
+        for v in range(g.n):
+            if not burnt >> v & 1:
+                for u in g.neighbors(v):
+                    if burnt >> u & 1:
+                        chips[v] -= 1
+                        chips[u] += 1
+
+
+def reference_losing_vertex(g: Graph, d: Divisor) -> tuple[int | None, int]:
+    """The game by definition: q-reduce d - (v) at every vertex v in turn,
+    with q_reduce checked against rescan_reduce. Returns the first v left
+    in debt (or None) and the reductions made at vertices with d(v) = 0."""
+    reductions = 0
+    for v in range(g.n):
+        attacked = list(d.chips)
+        attacked[v] -= 1
+        reduced, _ = q_reduce(g, Divisor(tuple(attacked)), v)
+        assert reduced.chips == rescan_reduce(g, tuple(attacked), v)
+        reductions += d.chips[v] == 0
+        if reduced.chips[v] < 0:
+            return v, reductions
+    return None, reductions
+
+
+def reference_effective_divisors(n: int, degree: int):
+    """Chip tuples of one degree in ascending lexicographic order, by the
+    prefix recursion."""
+
+    def rec(prefix, left, slots):
+        if slots == 1:
+            yield tuple(prefix + [left])
+            return
+        for c in range(left + 1):
+            yield from rec(prefix + [c], left - c, slots - 1)
+
+    yield from rec([], degree, n)
+
+
+def reference_gonality(g: Graph) -> tuple[int, tuple[int, ...], list, int, int]:
+    """Least winning degree by enumeration with reference_losing_vertex:
+    (gonality, winner, losing proof one degree down, divisors checked,
+    reductions at vertices with d(v) = 0)."""
+    checked = reductions = 0
+    last_losing: list = []
+    for k in range(g.n + 1):
+        losing = []
+        for chips in reference_effective_divisors(g.n, k):
+            checked += 1
+            fail_v, made = reference_losing_vertex(g, Divisor(chips))
+            reductions += made
+            if fail_v is None:
+                return k, chips, last_losing, checked, reductions
+            losing.append((chips, fail_v))
+        last_losing = losing
+    raise AssertionError("one chip on every vertex always wins")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_with_effective_divisors())
+def test_winning_test_matches_reduction_at_every_vertex(case):
+    g, d = case
+    fail_v, _ = reference_losing_vertex(g, d)
+    assert is_winning_divisor(g, d) == (fail_v is None, fail_v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(connected_graphs(max_n=6))
+def test_gonality_matches_reference_enumeration(g):
+    gon, winner, losing, checked, reductions = reference_gonality(g)
+    res = exact_gonality(g)
+    assert res.status == "exact" and res.gonality == gon == res.lower
+    assert res.winning_divisor == Divisor(winner)
+    assert list(res.losing_proof) == losing
+    assert res.divisors_checked == checked
+    assert res.reductions == reductions
+
+
+def test_effective_divisor_order_unchanged():
+    for n in range(1, 9):
+        for degree in range(7):
+            got = list(_effective_divisors(n, degree))
+            assert got == list(reference_effective_divisors(n, degree))
+            assert len(got) == comb(n + degree - 1, degree)
+
+
+@pytest.mark.parametrize("kind,m,n,reductions", [
+    # the q_reduce calls of one reduction at every vertex, minus those at
+    # vertices with d(v) >= 1: 240 - 60 and 3,194 - 1,071
+    ("stacked_prism", 4, 2, 180),
+    ("toroidal_grid", 3, 3, 2123),
+])
+def test_reductions_counter_pinned(kind, m, n, reductions):
+    g = make_family(kind, m, n)
+    assert exact_gonality(g).reductions == reductions
+    assert reference_gonality(g)[4] == reductions
+
+
+def test_gonality_t44_exact_with_full_losing_proof():
+    t44 = make_family("toroidal_grid", 4, 4)
+    res = exact_gonality(t44)
+    assert res.status == "exact" and res.gonality == 8 and res.lower == 8
+    assert res.divisors_checked == 245254 and res.reductions == 254135
+    winner = res.winning_divisor
+    assert winner.degree == 8 and is_winning_divisor(t44, winner) == (True, None)
+    proof = res.losing_proof
+    assert len(proof) == comb(t44.n + 6, 7) == 170544
+    assert len({chips for chips, _ in proof}) == len(proof)
+    assert all(sum(chips) == 7 and min(chips) >= 0 and chips[v] == 0 for chips, v in proof)
+    for chips, v in random.Random(44).sample(proof, 16):
+        attacked = list(chips)
+        attacked[v] -= 1
+        reduced, _ = q_reduce(t44, Divisor(tuple(attacked)), v)
+        assert reduced.chips[v] < 0
+
+
+def test_disconnected_graph_refused():
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ChipFiringError):
+        is_winning_divisor(two_edges, Divisor.of(two_edges, [1, 0, 1, 0]))
+    with pytest.raises(ChipFiringError):
+        exact_gonality(two_edges)
+    with pytest.raises(ChipFiringError):
+        q_reduce(two_edges, Divisor.zero(two_edges), 0)
+
+
 def test_winning_generators_families():
     cases = [
         ("stacked_prism", 5, 3, "column_ones", 5),
@@ -196,6 +361,8 @@ def test_lossy_contraction_refused():
     assert lossy.lossy_contraction
     with pytest.raises(MultiplicityLostError):
         q_reduce(lossy, Divisor.zero(lossy), 0)
+    with pytest.raises(MultiplicityLostError):
+        is_winning_divisor(lossy, Divisor.zero(lossy))
     with pytest.raises(MultiplicityLostError):
         exact_gonality(lossy)
 
