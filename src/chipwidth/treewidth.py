@@ -11,15 +11,23 @@ Iterating k upward from a lower bound until the first success yields the
 exact value together with a witness elimination order.
 
 The search visits every feasible prefix at most once, which makes it the
-classic subset dynamic program in top-down form. It runs under a state cap
-and a wall-clock budget (60 s by default) and reports bounds when either
-runs out.
+classic subset dynamic program in top-down form. On grids, prisms and tori
+it also uses the automorphisms their metadata names, once each is checked
+against the edges: first moves are one vertex per orbit, and a prefix whose
+image under some automorphism was refuted is skipped at every depth. The
+path keeps the images of the prefix under the whole group, and a refuted
+prefix is memoized by its mask and by the least of its images. Only
+infeasible subtrees are skipped, so the witness order, and with it the
+decomposition, is the one the search finds without symmetry. It runs under
+a state cap and a wall-clock budget (60 s by default) and reports bounds
+when either runs out.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import or_
 from typing import Sequence
 
 from .graphs import (
@@ -260,22 +268,48 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
     return order, width
 
 
-def _first_move_candidates(g: Graph) -> list[int]:
-    # Orbit representatives from family metadata only. A torus is vertex
-    # transitive; prisms and grids are fixed by row rotation/reflection and
-    # column reflection, so one representative per column class suffices
-    # (grids also per row class).
+def _line_maps(length: int, cyclic: bool) -> list[list[int]]:
+    # the dihedral maps of a cycle, or the identity and reversal of a path
+    if cyclic:
+        return [[(a + s * i) % length for i in range(length)]
+                for a in range(length) for s in (1, -1)]
+    return [list(range(length)), list(range(length - 1, -1, -1))]
+
+
+def _family_group(g: Graph) -> list[list[int]]:
+    """Automorphisms of a grid-like family graph, as vertex permutations.
+
+    They come from the metadata: a grid is fixed by its row and column
+    reflections (order 4), a prism also by its m row rotations (order 4m),
+    a torus also by its n column rotations (order 4mn). Every permutation is
+    checked against the edges; without metadata, or when any check fails,
+    the group is the identity alone. The identity comes first.
+    """
+    identity = [list(range(g.n))]
     fam = g.family
     if fam is None or fam.kind not in GRID_KINDS:
-        return list(range(g.n))
+        return identity
     m, n = fam.m, fam.n
-    if fam.kind == "toroidal_grid":
-        return [0]
-    if fam.kind == "stacked_prism":
-        return [j for j in range((n + 1) // 2)]
-    rows = range((m + 1) // 2)
-    cols = range((n + 1) // 2)
-    return [i * n + j for i in rows for j in cols]
+    if m < 1 or n < 1 or m * n != g.n:
+        return identity
+    rows = _line_maps(m, fam.kind != "grid")
+    cols = _line_maps(n, fam.kind == "toroidal_grid")
+    perms = {
+        tuple(r[i] * n + c[j] for i in range(m) for j in range(n)): None
+        for r in rows
+        for c in cols
+    }
+    # a bijection that keeps every edge keeps the edge set
+    for p in perms:
+        if not all(g.has_edge(p[u], p[v]) for u, v in g.edges):
+            return identity
+    return [list(p) for p in perms]
+
+
+def _orbit_roots(group: list[list[int]]) -> list[int]:
+    # the least vertex of each orbit, ascending; enough first moves, since
+    # an order starting anywhere else has an image starting there
+    return [v for v in range(len(group[0])) if all(p[v] >= v for p in group)]
 
 
 class _Budget:
@@ -299,12 +333,19 @@ class _Budget:
 
 
 def _decide_width(
-    g: Graph, k: int, budget: _Budget, roots: list[int] | None = None
+    g: Graph,
+    k: int,
+    budget: _Budget,
+    roots: list[int] | None = None,
+    group: list[list[int]] | None = None,
 ) -> tuple[bool | None, list[int] | None]:
     """Is there an elimination order with every back-degree <= k?
 
     Returns (verdict, order). verdict None means the budget ran out before
-    the question was settled.
+    the question was settled. group lists automorphisms of g, as
+    _family_group gives them; a prefix with a refuted image is skipped,
+    which drops only infeasible subtrees, so the verdict and the order stay
+    those of the search without it.
     """
     n = g.n
     if n <= k + 1:
@@ -314,11 +355,20 @@ def _decide_width(
     h = list(g.adj)
     bit = [1 << v for v in range(n)]
     bits: dict[int, list[int]] = {}
+    # refuted prefixes, each by its mask and by its canonical key, the
+    # least of its images under the group
     failed: set[int] = set()
     path: list[int] = []
     tick = budget.tick
+    # vimg[v][i] is vertex v's image under the i-th automorphism, as a bit;
+    # None when the group is the identity alone, whose key is the mask
+    vimg = None
+    if group is not None and len(group) > 1:
+        vimg = [[1 << p[v] for p in group] for v in range(n)]
 
-    def expand(s_mask: int, depth: int, outside: list[int]) -> bool | None:
+    def expand(
+        s_mask: int, key: int, imgs: list[int] | None, depth: int, outside: list[int]
+    ) -> bool | None:
         # s_mask holds depth vertices and has been counted; outside lists
         # the other vertices in ascending order
         cand: list[tuple[int, int]] = []
@@ -339,28 +389,44 @@ def _decide_width(
             else:
                 if d > k:
                     failed.add(s_mask)
+                    failed.add(key)
                     return False
                 if forced < 0:
                     forced = v
         if forced >= 0:
-            return descend(s_mask, depth, outside, [forced])
+            return descend(s_mask, key, imgs, depth, outside, [forced])
         cand.sort()
-        return descend(s_mask, depth, outside, [v for _, v in cand])
+        return descend(s_mask, key, imgs, depth, outside, [v for _, v in cand])
 
-    def descend(s_mask: int, depth: int, outside: list[int], moves: list[int]) -> bool | None:
+    def descend(
+        s_mask: int,
+        key: int,
+        imgs: list[int] | None,
+        depth: int,
+        outside: list[int],
+        moves: list[int],
+    ) -> bool | None:
         # try the moves out of s_mask in order; a child is settled without
         # eliminating into it when it leaves at most k + 1 vertices or is a
-        # known failure, and otherwise costs a tick
+        # known failure up to symmetry, and otherwise costs a tick
         if n - depth - 1 <= k + 1:
             if moves:
                 path.append(moves[0])
                 return True
             failed.add(s_mask)
+            failed.add(key)
             return False
         for v in moves:
             child = s_mask | bit[v]
             if child in failed:
                 continue
+            if vimg is None:
+                cimgs, ckey = None, child
+            else:
+                cimgs = list(map(or_, imgs, vimg[v]))
+                ckey = min(cimgs)
+                if ckey in failed:
+                    continue
             if not tick():
                 return None
             hv = h[v]
@@ -370,7 +436,7 @@ def _decide_width(
             saved = [h[u] for u in nbrs]
             for u in nbrs:
                 h[u] = (h[u] | hv) ^ (bit[u] | bit[v])
-            res = expand(child, depth + 1, [u for u in outside if u != v])
+            res = expand(child, ckey, cimgs, depth + 1, [u for u in outside if u != v])
             for u, hu in zip(nbrs, saved):
                 h[u] = hu
             if res:
@@ -379,13 +445,14 @@ def _decide_width(
             if res is None:
                 return None
         failed.add(s_mask)
+        failed.add(key)
         return False
 
-    # root moves restricted to orbit representatives; fill degree at the
-    # empty prefix is the plain degree
+    # fill degree at the empty prefix is the plain degree
     if roots is None:
         roots = list(range(n))
-    res = descend(0, 0, list(range(n)), [r for r in roots if g.degree(r) <= k])
+    imgs = None if vimg is None else [0] * len(group)
+    res = descend(0, 0, imgs, 0, list(range(n)), [r for r in roots if g.degree(r) <= k])
     if not res:
         return res, None
     prefix = list(reversed(path))
@@ -415,14 +482,15 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
     lower = max(degeneracy(g), 1 if g.num_edges else 0)
     upper = mf_width
     best_order = mf_order
-    roots = _first_move_candidates(g)
+    group = _family_group(g)
+    roots = _orbit_roots(group)
     hint = limits.lower_bound_hint
     if hint > upper:
         raise ValueError(f"lower bound hint {hint} exceeds the min-fill width {upper}")
 
     k = max(lower, hint)
     while k < upper:
-        verdict, order = _decide_width(g, k, budget, roots)
+        verdict, order = _decide_width(g, k, budget, roots, group)
         if verdict is None:
             break
         if verdict:
@@ -433,7 +501,7 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
         lower = k
     if lower < hint == upper:
         # the hint, not a refutation, skipped the widths below it
-        verdict, _ = _decide_width(g, hint - 1, budget, roots)
+        verdict, _ = _decide_width(g, hint - 1, budget, roots, group)
         if verdict:
             raise ValueError(f"lower bound hint {hint} exceeds the treewidth")
         if verdict is False:

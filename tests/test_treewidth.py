@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipwidth.brambles import gen_grid_bramble, gen_torus_fg, min_hitting_set
-from chipwidth.graphs import Graph, iter_bits, make_elementary, make_family, row_collapse_minor
+from chipwidth.graphs import (
+    FamilyMeta,
+    Graph,
+    iter_bits,
+    make_elementary,
+    make_family,
+    row_collapse_minor,
+)
 from chipwidth.treewidth import (
     NotATreeError,
     SolverLimits,
@@ -20,6 +27,8 @@ from chipwidth.treewidth import (
     TreeDecomposition,
     _Budget,
     _decide_width,
+    _family_group,
+    _orbit_roots,
     covering_bag,
     decomposition_from_elimination_order,
     degeneracy,
@@ -339,12 +348,13 @@ def test_search_matches_component_oracle(g, cap, data):
 
 
 # sha256 of write_td, first 16 hex digits, recorded from the component-based
-# search; any change to the states visited or their order shows up here
+# search; any change to the witness order shows up here. The states count
+# the search with its failed prefixes memoized up to the family's symmetry.
 PINNED_SEARCHES = [
-    ("grid", 5, 4, None, "exact", 4, 4, 3128, "353917de3377ffc5"),
-    ("toroidal_grid", 4, 4, None, "exact", 6, 6, 354, "b72123f1f791cc82"),
-    ("toroidal_grid", 5, 3, None, "exact", 6, 6, 403, "996265c7e92f6664"),
-    ("toroidal_grid", 6, 3, None, "exact", 6, 6, 1681, "6b4cc05bd2301155"),
+    ("grid", 5, 4, None, "exact", 4, 4, 952, "353917de3377ffc5"),
+    ("toroidal_grid", 4, 4, None, "exact", 6, 6, 76, "b72123f1f791cc82"),
+    ("toroidal_grid", 5, 3, None, "exact", 6, 6, 45, "996265c7e92f6664"),
+    ("toroidal_grid", 6, 3, None, "exact", 6, 6, 170, "6b4cc05bd2301155"),
     ("stacked_prism", 8, 4, 4000, "bounds_only", 4, 8, 4001, "9a16d6b6f979c40b"),
 ]
 
@@ -357,6 +367,100 @@ def test_search_pinned_on_family_graphs(kind, m, n, cap, status, lower, upper, s
     assert (res.proof_status, res.lower, res.upper, res.states) == (status, lower, upper, states)
     digest = hashlib.sha256(write_td(res.decomposition).encode()).hexdigest()[:16]
     assert digest == td_digest
+
+
+def test_search_pinned_on_relabeled_family_graph():
+    # without metadata the group is the identity alone: the states are the
+    # ones the search visited before it used symmetry below the root
+    g = make_family("toroidal_grid", 5, 3)
+    perm = list(range(g.n))
+    random.Random(11).shuffle(perm)
+    res = exact_treewidth(g.relabeled(perm))
+    assert (res.proof_status, res.lower, res.upper, res.states) == ("exact", 6, 6, 1590)
+    digest = hashlib.sha256(write_td(res.decomposition).encode()).hexdigest()[:16]
+    assert digest == "f7dbbea5b36d00df"
+
+
+# --- symmetry of the family graphs -------------------------------------------------
+
+
+def family_graphs(max_vertices: int):
+    for m in range(1, max_vertices + 1):
+        for n in range(1, max_vertices // m + 1):
+            yield make_family("grid", m, n)
+            if m >= 3:
+                yield make_family("stacked_prism", m, n)
+            if m >= 3 and n >= 3:
+                yield make_family("toroidal_grid", m, n)
+
+
+def test_orbit_roots_are_the_family_representatives():
+    # one first move per orbit: a torus is vertex transitive, a prism has
+    # one per column pair j, n-1-j, and a grid one per row and column pair
+    for g in family_graphs(30):
+        fam = g.family
+        m, n = fam.m, fam.n
+        rows, cols = range((m + 1) // 2), range((n + 1) // 2)
+        want = {
+            "toroidal_grid": [0],
+            "stacked_prism": list(cols),
+            "grid": [i * n + j for i in rows for j in cols],
+        }[fam.kind]
+        group = _family_group(g)
+        assert _orbit_roots(group) == want, fam
+        assert len(group) == len({tuple(p) for p in group})
+        assert group[0] == list(range(g.n))
+    # orders 4mn, 4m and 4
+    for kind, order in (("toroidal_grid", 80), ("stacked_prism", 20), ("grid", 4)):
+        assert len(_family_group(make_family(kind, 5, 4))) == order
+
+
+def test_symmetric_memo_matches_identity_search():
+    # skipping prefixes whose image was refuted drops only infeasible
+    # subtrees: same verdict and order at every width, never more states
+    for g in family_graphs(20):
+        group = _family_group(g)
+        roots = _orbit_roots(group)
+        for k in range(g.n):
+            ours, plain = _Budget(10**7, None), _Budget(10**7, None)
+            got = _decide_width(g, k, ours, roots, group)
+            want = _decide_width(g, k, plain, roots)
+            assert got == want and ours.states <= plain.states, (g, k)
+
+
+def random_connected_graph(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return edges
+
+
+# searching only from vertex 0 under the torus label finds width 5, yet the
+# graph has treewidth 4
+FALSE_TORUS = [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (0, 9), (1, 4), (1, 5), (1, 6),
+               (1, 10), (2, 3), (2, 4), (2, 8), (2, 10), (3, 5), (3, 11), (4, 5), (4, 6),
+               (4, 7), (4, 8), (4, 11), (5, 7), (6, 9), (7, 10), (8, 11)]
+
+
+def test_unverified_metadata_is_not_trusted():
+    # Graph() takes metadata on trust; the search must check it first
+    lying = FamilyMeta("toroidal_grid", 4, 3)
+    g = Graph(12, FALSE_TORUS, lying)
+    assert _family_group(g) == [list(range(12))]
+    res = exact_treewidth(g)
+    assert (res.proof_status, res.treewidth) == ("exact", 4)
+    rng = random.Random(5)
+    for _ in range(300):
+        edges = random_connected_graph(rng, 12, 0.25)
+        got = exact_treewidth(Graph(12, edges, lying))
+        want = exact_treewidth(Graph(12, edges))
+        assert (got.proof_status, got.treewidth) == (want.proof_status, want.treewidth)
+    # a relabelled torus under its old label is a torus, but not that one
+    torus = make_family("toroidal_grid", 4, 3)
+    perm = list(range(12))
+    random.Random(3).shuffle(perm)
+    moved = Graph(12, torus.relabeled(perm).edges, torus.family)
+    assert _family_group(moved) == [list(range(12))]
+    assert exact_treewidth(moved).treewidth == 5
 
 
 # --- minors only lower the width -------------------------------------------------
