@@ -3,8 +3,10 @@
 A bramble is a family of connected vertex sets that pairwise touch (share a
 vertex or an edge between them); it is strict when all pairs share a vertex.
 The order of a bramble is the size of a minimum hitting set. A bramble of
-order w certifies treewidth >= w - 1, and a strict one certifies
-treewidth >= w.
+order w certifies treewidth >= w - 1 (Seymour and Thomas, 1993), and a
+strict one certifies no more: on some graphs a strict bramble reaches order
+tw + 1. exact_treewidth takes a bramble as a witness and checks it on the
+graph before it uses that bound.
 
 Classification and the order both work on holders[v], the bitset of the
 indices of the elements that hold vertex v. The order comes from one
@@ -28,6 +30,7 @@ from .graphs import (
     bits_list,
     iter_bits,
     line_vertices,
+    make_family,
     mask_connected,
     mask_of,
 )
@@ -393,6 +396,20 @@ def gen_prism_b2(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble
     return Bramble.from_elements(g, gen(), "prism_b2", max_elements)
 
 
+def gen_prism_collapsed(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+    """prism_b2 of Y(2n-1, n), pulled back to Y(2n, n) through the merge of
+    rows 0 and 1: element e lifts to its rows shifted down one plus its row
+    0 in place. Merging a hitting set of the lifts hits every element, so
+    the order stays 2n - 1. Needs m = 2n."""
+    m, n = _require_family(g, "stacked_prism", "collapsed prism bramble")
+    if m != 2 * n:
+        raise WrongRegimeError(f"collapsed bramble needs m = 2n, got m={m}, n={n}")
+    row0 = line_vertices(g, "row", 0)
+    small = gen_prism_b2(make_family("stacked_prism", m - 1, n), max_elements)
+    lifts = (e << n | e & row0 for e in small.elements)
+    return Bramble.from_elements(g, lifts, "prism_collapsed", max_elements)
+
+
 def gen_torus_cde(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
     """Wide-torus bramble, defined for m >= n + 2.
 
@@ -400,7 +417,7 @@ def gen_torus_cde(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Brambl
     the row cuts), a full column with three cut rows (cuts not all aligned),
     and two cut columns with three rows all cut in one outside column.
     The order reaches 2n on T7,3 but falls short at small margins: 5 on
-    T5,3 and T6,3, and 6 on T6,4. gen_balanced_bramble certifies 2n on T5,3.
+    T5,3 and T6,3, and 6 on T6,4. gen_balanced_bramble reaches 2n on T5,3.
     """
     m, n = _require_family(g, "toroidal_grid", "torus bramble cde")
     if not m >= n + 2:

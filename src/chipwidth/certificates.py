@@ -34,17 +34,3 @@ class Certificate:
 
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        data = json.loads(text)
-        missing = {"claim", "verdict", "witness", "proof", "timing"} - set(data)
-        if missing:
-            raise ValueError(f"certificate missing keys: {sorted(missing)}")
-        return cls(
-            claim=data["claim"],
-            verdict=data["verdict"],
-            witness=data["witness"],
-            proof=data["proof"],
-            timing=data["timing"],
-        )

@@ -42,10 +42,6 @@ class MultiplicityLostError(ChipFiringError):
     results on it would be wrong."""
 
 
-class EnumerationBudgetError(ChipFiringError):
-    """Divisor enumeration would exceed the configured cap."""
-
-
 @dataclass(frozen=True)
 class Divisor:
     """Integer chips per vertex."""
@@ -365,6 +361,8 @@ def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:
         "toroidal_grid": ("row_twos", "column_twos"),
     }
     allowed = styles.get(fam.kind, ())
+    if not allowed:
+        raise InvalidFamilyError(f"no stock winning divisor for family {fam.kind!r}")
     if style not in allowed:
         raise InvalidFamilyError(
             f"style {style!r} is not defined on {fam.kind} (choose from {allowed})"

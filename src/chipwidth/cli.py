@@ -55,6 +55,8 @@ from .treewidth import (
     DecompositionError,
     SolverLimits,
     exact_treewidth,
+    family_bramble,
+    family_claims,
     read_td_file,
     validate_tree_decomposition,
     write_td_file,
@@ -110,15 +112,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_tw(args: argparse.Namespace) -> int:
     g = read_gr_file(args.graph)
-    limits = SolverLimits(
-        time_budget=args.budget_ms / 1000.0,
-        lower_bound_hint=args.lower_hint,
-    )
-    try:
-        res = exact_treewidth(g, limits)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    res = exact_treewidth(g, SolverLimits(time_budget=args.budget_ms / 1000.0))
     if args.td is not None:
         write_td_file(res.decomposition, args.td)
     cert = Certificate(
@@ -222,17 +216,6 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
     return 1 if verdict == "fail" else 0
 
 
-def _default_style(g: Graph) -> str:
-    fam = g.family
-    if fam is None:
-        raise ChipFiringError("graph carries no family metadata; pass --style")
-    if fam.kind == "stacked_prism":
-        return "column_ones" if fam.m <= 2 * fam.n else "row_twos"
-    if fam.kind == "toroidal_grid":
-        return "row_twos" if fam.n <= fam.m else "column_twos"
-    raise ChipFiringError(f"no stock winning divisor for family {fam.kind!r}")
-
-
 def _cmd_gon(args: argparse.Namespace) -> int:
     g = read_gr_file(args.graph)
     if args.action == "check":
@@ -273,7 +256,7 @@ def _cmd_gon(args: argparse.Namespace) -> int:
         _print_cert(cert, args.timing)
         return 0
     # winning
-    style = args.style if args.style is not None else _default_style(g)
+    style = args.style if args.style is not None else family_claims(g).style
     d = gen_winning_divisor(g, style, args.index)
     wins, _ = is_winning_divisor(g, d)
     if not wins:
@@ -301,14 +284,13 @@ class ReproRow:
 def _tw_row(label: str, source: str, kind: str, m: int, n: int, claimed: int) -> ReproRow:
     def run(budget: float) -> tuple[str, str]:
         g = make_family(kind, m, n)
-        res = exact_treewidth(g, SolverLimits(time_budget=budget))
+        res = exact_treewidth(g, SolverLimits(time_budget=budget), family_bramble(g))
         if res.proof_status == "exact":
             return str(res.treewidth), "match" if res.treewidth == claimed else "mismatch"
         verdict = "within_interval" if res.lower <= claimed <= res.upper else "mismatch"
         return f"[{res.lower},{res.upper}]", verdict
 
-    g = make_family(kind, m, n)
-    return ReproRow(label, source, str(claimed), g.n, run)
+    return ReproRow(label, source, str(claimed), m * n, run)
 
 
 def _order_row(label: str, family: str, m: int, n: int, claimed: int, strict: bool) -> ReproRow:
@@ -324,8 +306,7 @@ def _order_row(label: str, family: str, m: int, n: int, claimed: int, strict: bo
         shown = str(oc.order) if strict_ok else f"{oc.order} ({cls.verdict})"
         return shown, "match" if ok else "mismatch"
 
-    g = make_family(kind, m, n)
-    return ReproRow(label, "covering family order", str(claimed), g.n, run)
+    return ReproRow(label, "covering family order", str(claimed), m * n, run)
 
 
 def _gon_row(label: str, source: str, kind: str, m: int, n: int, claimed: int) -> ReproRow:
@@ -337,19 +318,17 @@ def _gon_row(label: str, source: str, kind: str, m: int, n: int, claimed: int) -
         verdict = "within_interval" if claimed >= res.lower else "mismatch"
         return f">={res.lower}", verdict
 
-    g = make_family(kind, m, n)
-    return ReproRow(label, source, str(claimed), g.n, run)
+    return ReproRow(label, source, str(claimed), m * n, run)
 
 
 def _winning_row(label: str, kind: str, m: int, n: int) -> ReproRow:
     def run(budget: float) -> tuple[str, str]:
         g = make_family(kind, m, n)
-        d = gen_winning_divisor(g, _default_style(g))
+        d = gen_winning_divisor(g, family_claims(g).style)
         wins, _ = is_winning_divisor(g, d)
         return ("wins", "match") if wins else ("loses", "mismatch")
 
-    g = make_family(kind, m, n)
-    return ReproRow(label, "divisor construction", "wins", g.n, run)
+    return ReproRow(label, "divisor construction", "wins", m * n, run)
 
 
 def _repro_rows() -> list[ReproRow]:
@@ -439,8 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tw", help="exact treewidth with a tree decomposition")
     p.add_argument("graph", help=".gr file")
     p.add_argument("--budget-ms", type=int, default=int(DEFAULT_TIME_BUDGET * 1000))
-    p.add_argument("--lower-hint", type=int, default=0,
-                   help="first width to try; checked, never trusted (above tw: error)")
     p.add_argument("--td", default=None, help="also write the decomposition to this .td file")
     p.set_defaults(func=_cmd_tw)
 

@@ -455,7 +455,7 @@ def read_gr(text: str) -> Graph:
         raise FormatError("parallel edge in input")
     if len(edges) != declared_edges:
         raise FormatError(f"declared {declared_edges} edges, found {len(edges)}")
-    if family is not None and not _family_matches(family, n, edge_set):
+    if family is not None and not family_matches(family, n, edge_set):
         family = None
     g = Graph(n, edges, family)
     if not g.is_connected():
@@ -463,10 +463,13 @@ def read_gr(text: str) -> Graph:
     return g
 
 
-def _family_matches(fam: FamilyMeta, n: int, edge_set: set[tuple[int, int]]) -> bool:
-    # Orbit, row/column, bramble and divisor code read grid and elementary
-    # dimensions, so those kinds must rebuild to the edges read; checking the
-    # count first keeps a lying comment from forcing a huge rebuild.
+def family_matches(fam: FamilyMeta, n: int, edge_set: set[tuple[int, int]]) -> bool:
+    """Do n vertices and these edges rebuild the family fam names?
+
+    Orbit, row/column, bramble and divisor code read grid and elementary
+    dimensions, so those kinds must rebuild to the edges given; checking the
+    count first keeps lying metadata from forcing a huge rebuild.
+    """
     if fam.kind == "other":
         return True
     if fam.kind == "product":
@@ -482,11 +485,6 @@ def _family_matches(fam: FamilyMeta, n: int, edge_set: set[tuple[int, int]]) -> 
     except InvalidFamilyError:
         return False
     return ref.edge_set == edge_set
-
-
-def write_gr_file(g: Graph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(write_gr(g))
 
 
 def read_gr_file(path) -> Graph:

@@ -21,20 +21,38 @@ infeasible subtrees are skipped, so the witness order, and with it the
 decomposition, is the one the search finds without symmetry. It runs under
 a state cap and a wall-clock budget (60 s by default) and reports bounds
 when either runs out.
+
+A lower bound enters the search one way: a witness bramble, checked on the
+graph itself, whose order minus one is where the search starts.
+family_claims is the one table of the grid, prism and torus formulas.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import or_
-from typing import Sequence
+from typing import Callable, Sequence
 
+from .brambles import (
+    NOT_BRAMBLE,
+    Bramble,
+    BrambleError,
+    classify_family,
+    gen_grid_bramble,
+    gen_prism_b1,
+    gen_prism_b2,
+    gen_prism_collapsed,
+    gen_torus_cde,
+    gen_torus_fg,
+    min_hitting_set,
+)
 from .graphs import (
     GRID_KINDS,
     Graph,
     InvalidFamilyError,
     bits_list,
+    family_matches,
     iter_bits,
     mask_of,
 )
@@ -91,17 +109,18 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Budgets and hints for exact_treewidth."""
+    """Budgets for exact_treewidth."""
 
     max_states: int = DEFAULT_MAX_STATES
     time_budget: float | None = DEFAULT_TIME_BUDGET  # seconds; None means no wall clock
-    lower_bound_hint: int = 0  # first width tried; checked, never trusted
 
 
 @dataclass(frozen=True)
 class WidthResult:
     """Solver outcome. treewidth always equals width(decomposition); it is
-    the exact treewidth precisely when proof_status == "exact"."""
+    the exact treewidth precisely when proof_status == "exact".
+    witness_lower is the bound the checked witness bramble proved, 0 when
+    none was given."""
 
     treewidth: int
     decomposition: TreeDecomposition
@@ -110,6 +129,7 @@ class WidthResult:
     upper: int
     states: int
     elapsed: float
+    witness_lower: int
 
 
 def _check_tree(td: TreeDecomposition) -> None:
@@ -460,35 +480,48 @@ def _decide_width(
     return True, prefix + rest
 
 
-def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult:
+def _witness_lower(g: Graph, witness: Bramble) -> int:
+    """The width bound a bramble proves on g: its order minus one, strict
+    or not, since a strict bramble can reach order tw + 1."""
+    if witness.graph.adj != g.adj:
+        raise BrambleError("witness bramble is over another graph")
+    cls = classify_family(g, witness.elements)
+    if cls.verdict == NOT_BRAMBLE:
+        i, j = cls.counterexample
+        raise BrambleError(f"witness is not a bramble (elements {i} and {j})")
+    return min_hitting_set(witness).order - 1
+
+
+def exact_treewidth(
+    g: Graph, limits: SolverLimits | None = None, witness: Bramble | None = None
+) -> WidthResult:
     """Exact treewidth with a witness decomposition, or bounds on budget.
 
     The search stops at limits.max_states expanded states or after
     limits.time_budget seconds, whichever comes first, and then returns
     proof_status "bounds_only" with the interval it has certified.
 
-    limits.lower_bound_hint only picks the first width tried: lower is what
-    degeneracy or a refuted width proved, and a hinted width that succeeds
-    at once is checked one below. A hint above the treewidth or above the
-    min-fill width raises ValueError.
+    witness is a bramble on g. It is checked on g itself, by classify_family
+    and min_hitting_set, and a bramble of order w proves tw >= w - 1
+    (Seymour and Thomas, 1993); the search starts at that bound. A witness
+    over another graph, or a family that is not a bramble, raises
+    BrambleError.
     """
     if not g.is_connected():
         raise ValueError("treewidth solver expects a connected graph")
     limits = limits or SolverLimits()
     t0 = time.monotonic()
+    witness_lower = 0 if witness is None else _witness_lower(g, witness)
     budget = _Budget(limits.max_states, limits.time_budget)
 
     mf_order, mf_width = min_fill_order(g)
-    lower = max(degeneracy(g), 1 if g.num_edges else 0)
+    lower = max(degeneracy(g), 1 if g.num_edges else 0, witness_lower)
     upper = mf_width
     best_order = mf_order
     group = _family_group(g)
     roots = _orbit_roots(group)
-    hint = limits.lower_bound_hint
-    if hint > upper:
-        raise ValueError(f"lower bound hint {hint} exceeds the min-fill width {upper}")
 
-    k = max(lower, hint)
+    k = lower
     while k < upper:
         verdict, order = _decide_width(g, k, budget, roots, group)
         if verdict is None:
@@ -499,13 +532,6 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
             break
         k += 1
         lower = k
-    if lower < hint == upper:
-        # the hint, not a refutation, skipped the widths below it
-        verdict, _ = _decide_width(g, hint - 1, budget, roots, group)
-        if verdict:
-            raise ValueError(f"lower bound hint {hint} exceeds the treewidth")
-        if verdict is False:
-            lower = hint
 
     td = decomposition_from_elimination_order(g, best_order)
     status = "exact" if lower == upper else "bounds_only"
@@ -517,6 +543,7 @@ def exact_treewidth(g: Graph, limits: SolverLimits | None = None) -> WidthResult
         upper=upper,
         states=budget.states,
         elapsed=time.monotonic() - t0,
+        witness_lower=witness_lower,
     )
 
 
@@ -554,7 +581,57 @@ def covering_bag(td: TreeDecomposition, bramble) -> CoveringBag:
     raise RuntimeError("no bag meets every element; the family is not a bramble")
 
 
-# --- family bounds report ---------------------------------------------------
+# --- family claims and bounds report ------------------------------------------
+
+
+@dataclass(frozen=True)
+class FamilyClaims:
+    """The claims on one grid, prism or torus: the width interval (two
+    values on the open lines, which note names), the witness bramble's
+    generator and the stock winning-divisor style, None where none exists."""
+
+    low: int
+    high: int
+    note: str
+    witness: Callable[[Graph], Bramble] | None
+    style: str | None
+
+
+def family_claims(g: Graph) -> FamilyClaims:
+    """The claims table, by kind and regime. Raises InvalidFamilyError
+    unless g's grid, prism or torus metadata rebuilds its edges."""
+    fam = g.family
+    if fam is None or fam.kind not in GRID_KINDS:
+        raise InvalidFamilyError("family claims need a grid, prism or torus")
+    if not family_matches(fam, g.n, g.edge_set):
+        raise InvalidFamilyError(f"the edges are not those of {fam.kind} {fam.m} {fam.n}")
+    m, n = fam.m, fam.n
+    lo = min(m, n)
+    if fam.kind == "grid":
+        w = lo if g.num_edges else 0  # G1,1 is a single vertex
+        return FamilyClaims(w, w, "", gen_grid_bramble if w >= 2 else None, None)
+    if fam.kind == "stacked_prism":
+        if 2 * n < m:
+            return FamilyClaims(2 * n, 2 * n, "", gen_prism_b1, "row_twos")
+        if m < 2 * n:
+            return FamilyClaims(m, m, "", gen_prism_b2, "column_ones")
+        note = "open: prism with m = 2n is only known to lie in this interval"
+        return FamilyClaims(2 * n - 1, 2 * n, note, gen_prism_collapsed, "column_ones")
+    style = "row_twos" if n <= m else "column_twos"
+    if m == n:
+        note = "open: square torus is only known to lie in this interval"
+        return FamilyClaims(2 * n - 2, 2 * n - 1, note, None, style)
+    if abs(m - n) == 1:
+        note = "open: near-square torus is only known to lie in this interval"
+        witness = gen_torus_fg if m == n + 1 else None
+        return FamilyClaims(2 * lo - 1, 2 * lo, note, witness, style)
+    return FamilyClaims(2 * lo, 2 * lo, "", gen_torus_cde if m >= n + 2 else None, style)
+
+
+def family_bramble(g: Graph) -> Bramble | None:
+    """The claims table's lower-bound bramble on g, or None where it has none."""
+    gen = family_claims(g).witness
+    return None if gen is None else gen(g)
 
 
 @dataclass(frozen=True)
@@ -568,8 +645,7 @@ class BoundsReport:
     predicted_high: int
     note: str
     bramble_label: str | None
-    bramble_order: int | None
-    minor_lower: int | None
+    witness_lower: int
     exact: int | None
     lower: int
     upper: int
@@ -579,97 +655,36 @@ class BoundsReport:
         return self.predicted_low == self.predicted_high
 
 
-def treewidth_bounds_report(
-    g: Graph,
-    limits: SolverLimits | None = None,
-    compute_bramble_order: bool = True,
-) -> BoundsReport:
+def treewidth_bounds_report(g: Graph, limits: SolverLimits | None = None) -> BoundsReport:
     """Cross-check the family width formulas against computed certificates.
 
-    Exceptional parameter lines (prism m = 2n, torus |m - n| <= 1) get a
-    two-value predicted interval and an explanatory note. A computed exact
-    value outside the predicted range raises RuntimeError: that would mean
-    either a solver bug or a false formula, and must not pass silently.
+    The predicted interval and the witness bramble come from family_claims;
+    the open lines (prism m = 2n, torus |m - n| <= 1) get a two-value
+    interval and a note. Computed bounds that miss the predicted range
+    raise RuntimeError: that would mean either a solver bug or a false
+    formula, and must not pass silently.
     """
-    from . import brambles
-
+    claims = family_claims(g)
     fam = g.family
-    if fam is None or fam.kind not in GRID_KINDS:
-        raise InvalidFamilyError("bounds report needs a grid-like family graph")
-    m, n = fam.m, fam.n
-    note = ""
-    bramble_label: str | None = None
-    bramble_gen = None
-    minor_lower: int | None = None
-
-    if fam.kind == "grid":
-        plow = phigh = min(m, n)
-        if min(m, n) >= 2:
-            bramble_label, bramble_gen = "grid_b", brambles.gen_grid_bramble
-    elif fam.kind == "stacked_prism":
-        if m != 2 * n:
-            plow = phigh = min(m, 2 * n)
-            if 2 * n < m:
-                bramble_label, bramble_gen = "prism_b1", brambles.gen_prism_b1
-            else:
-                bramble_label, bramble_gen = "prism_b2", brambles.gen_prism_b2
-        else:
-            plow, phigh = 2 * n - 1, 2 * n
-            note = "open: prism with m = 2n is only known to lie in this interval"
-            minor_lower = 2 * n - 1  # row collapse to the (2n-1, n) prism
-    else:
-        lo = min(m, n)
-        if abs(m - n) >= 2:
-            plow = phigh = 2 * lo
-            if m >= n + 2:
-                bramble_label, bramble_gen = "torus_cde", brambles.gen_torus_cde
-        elif m == n:
-            plow, phigh = 2 * n - 2, 2 * n - 1
-            note = "open: square torus is only known to lie in this interval"
-        else:
-            plow, phigh = 2 * lo - 1, 2 * lo
-            note = "open: near-square torus is only known to lie in this interval"
-            if m == n + 1:
-                bramble_label, bramble_gen = "torus_fg", brambles.gen_torus_fg
-
-    bramble_order: int | None = None
-    if bramble_gen is not None and compute_bramble_order:
-        b = bramble_gen(g)
-        bramble_order = brambles.min_hitting_set(b).order
-
-    result = exact_treewidth(g, limits)
-    exact = result.treewidth if result.proof_status == "exact" else None
-
-    lower = max(plow if exact is None else exact, result.lower)
-    if bramble_order is not None:
-        # strict families give order <= tw, the fg family only order - 1
-        gain = bramble_order if bramble_label != "torus_fg" else bramble_order - 1
-        lower = max(lower, gain)
-    if minor_lower is not None:
-        lower = max(lower, minor_lower)
-    upper = exact if exact is not None else min(phigh, result.upper)
-
-    if exact is not None and not plow <= exact <= phigh:
-        raise RuntimeError(
-            f"computed treewidth {exact} contradicts predicted range "
-            f"[{plow}, {phigh}] for {fam.kind}({m},{n})"
-        )
+    b = family_bramble(g)
+    result = exact_treewidth(g, limits, b)
+    lower = max(claims.low, result.lower)
+    upper = min(claims.high, result.upper)
     if lower > upper:
         raise RuntimeError(
-            f"certificates contradict each other on {fam.kind}({m},{n}): "
-            f"lower {lower} exceeds upper {upper}"
+            f"computed bounds [{result.lower}, {result.upper}] contradict predicted "
+            f"range [{claims.low}, {claims.high}] for {fam.kind}({fam.m},{fam.n})"
         )
     return BoundsReport(
         kind=fam.kind,
-        m=m,
-        n=n,
-        predicted_low=plow,
-        predicted_high=phigh,
-        note=note,
-        bramble_label=bramble_label,
-        bramble_order=bramble_order,
-        minor_lower=minor_lower,
-        exact=exact,
+        m=fam.m,
+        n=fam.n,
+        predicted_low=claims.low,
+        predicted_high=claims.high,
+        note=claims.note,
+        bramble_label=None if b is None else b.label,
+        witness_lower=result.witness_lower,
+        exact=result.treewidth if result.proof_status == "exact" else None,
         lower=lower,
         upper=upper,
     )

@@ -44,8 +44,8 @@ from chipwidth.treewidth import (
     exact_treewidth,
     min_fill_order,
     decomposition_from_elimination_order,
+    family_bramble,
     read_td,
-    treewidth_bounds_report,
     validate_tree_decomposition,
     write_td,
 )
@@ -91,12 +91,11 @@ def test_criterion_1_treewidth_benchmarks():
     # stretch instance: 32 vertices, searched under a wall budget; an
     # interval answer is acceptable as long as it pins 8 inside
     big = fam("stacked_prism", 8, 4)
-    # only minor_lower is read here, and it does not depend on the search
-    report = treewidth_bounds_report(big, SolverLimits(max_states=0),
-                                     compute_bramble_order=False)
-    _check(failures, report.minor_lower == 7, "Y8,4 minor lower bound missing")
-    res = exact_treewidth(big, SolverLimits(
-        time_budget=45.0, lower_bound_hint=report.minor_lower))
+    # the witness is prism_b2 of Y7,4 lifted through a row merge: checked on
+    # Y8,4 itself, a strict bramble of order 7, so tw >= 6 by duality
+    res = exact_treewidth(big, SolverLimits(time_budget=45.0), family_bramble(big))
+    _check(failures, res.witness_lower == 6, f"Y8,4 witness proves {res.witness_lower}")
+    _check(failures, res.lower >= 6, f"Y8,4 lower {res.lower} below its witness")
     if res.proof_status == "exact":
         _check(failures, res.treewidth == 8, f"tw(Y8,4) = {res.treewidth}, want 8")
     else:

@@ -20,6 +20,7 @@ from chipwidth.brambles import (
     gen_grid_bramble,
     gen_prism_b1,
     gen_prism_b2,
+    gen_prism_collapsed,
     gen_torus_cde,
     gen_torus_fg,
     is_connected_set,
@@ -275,16 +276,30 @@ STOCK_ORDERS = {
     ("toroidal_grid", 6, 3, gen_torus_cde): (5, [0, 1, 3, 4, 8], 451),
     ("toroidal_grid", 5, 3, gen_balanced_bramble): (6, [0, 1, 2, 3, 7, 8], 751),
     ("stacked_prism", 7, 4, gen_prism_b2): (7, [0, 1, 2, 3, 4, 5, 6], 22374),
+    ("stacked_prism", 4, 2, gen_prism_collapsed): (3, [0, 1, 4], 13),
+    ("stacked_prism", 6, 3, gen_prism_collapsed): (5, [0, 1, 2, 6, 7], 418),
 }
 
 
 def test_stock_orders_pinned():
     # certificates must stay byte-identical, and nodes pin the decision
     # search's work so that it cannot grow silently. prism_b2 on Y7,4
-    # (order 7) is the checked lower witness on the minor of Y8,4
+    # (order 7) is what gen_prism_collapsed lifts to Y8,4
     for (kind, m, n, gen), want in STOCK_ORDERS.items():
         cert = min_hitting_set(gen(make_family(kind, m, n)))
         assert (cert.order, bits_list(cert.witness), cert.nodes) == want, (kind, m, n)
+
+
+def test_collapsed_prism_bramble_is_the_lifted_b2():
+    # each element of prism_b2 on Y(2n-1, n) lifts to one element on
+    # Y(2n, n); the lifts are a strict bramble with the same order
+    for n in (2, 3):
+        g = make_family("stacked_prism", 2 * n, n)
+        b = gen_prism_collapsed(g)
+        small = gen_prism_b2(make_family("stacked_prism", 2 * n - 1, n))
+        assert len(b) == len(small) and b.label == "prism_collapsed"
+        assert classify_family(g, b.elements).verdict == "strict_bramble"
+        assert min_hitting_set(b).order == min_hitting_set(small).order == 2 * n - 1
 
 
 def test_witness_hits_everything():
@@ -408,6 +423,9 @@ def test_generator_regime_errors():
         gen_prism_b1(make_family("stacked_prism", 5, 3))  # needs 2n < m
     with pytest.raises(WrongRegimeError):
         gen_prism_b2(make_family("stacked_prism", 7, 3))  # needs m < 2n
+    for m in (5, 7):
+        with pytest.raises(WrongRegimeError):
+            gen_prism_collapsed(make_family("stacked_prism", m, 3))  # needs m = 2n
     with pytest.raises(WrongRegimeError):
         gen_torus_cde(make_family("toroidal_grid", 4, 3))  # needs m >= n+2
     with pytest.raises(WrongRegimeError):

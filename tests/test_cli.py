@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from chipwidth.cli import main
-from chipwidth.graphs import Graph, write_gr
+from chipwidth.graphs import FamilyMeta, Graph, write_gr
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -62,19 +62,11 @@ def test_tw_certificate(tmp_path, capsys):
     assert run(capsys, "tw", str(gr), "--method", "dp")[0] == 2
 
 
-def test_tw_overstated_lower_hint_is_an_error(tmp_path, capsys):
-    # tw 4, min-fill width 5: the search must not take the hint on trust
-    gr = tmp_path / "trap.gr"
-    gr.write_text(write_gr(Graph(10, [
-        (0, 2), (0, 7), (1, 2), (1, 5), (1, 6), (1, 8), (2, 4), (2, 5), (3, 4), (3, 5),
-        (3, 6), (3, 7), (4, 6), (4, 9), (5, 8), (5, 9), (7, 8), (8, 9)])))
-    assert json.loads(run(capsys, "tw", str(gr))[1])["witness"]["treewidth"] == 4
-    code, out, err = run(capsys, "tw", str(gr), "--lower-hint", "5")
-    assert code == 1 and out == "" and err.startswith("error:")
-    g33 = tmp_path / "g33.gr"
-    run(capsys, "gen", "grid", "3", "3", "-o", str(g33))
-    code, out, err = run(capsys, "tw", str(g33), "--lower-hint", "5")
-    assert code == 1 and out == "" and err.startswith("error:")
+def test_tw_lower_hint_is_gone(tmp_path, capsys):
+    # a lower bound enters the search only as a checked witness
+    gr = tmp_path / "g33.gr"
+    run(capsys, "gen", "grid", "3", "3", "-o", str(gr))
+    assert run(capsys, "tw", str(gr), "--lower-hint", "3")[0] == 2
 
 
 def test_tw_deterministic_bytes(tmp_path, capsys):
@@ -216,6 +208,18 @@ def test_gon_winning_needs_family_metadata(tmp_path, capsys):
     gr.write_text("p tw 3 2\n1 2\n2 3\n")
     code, _, err = run(capsys, "gon", "winning", str(gr))
     assert code == 1 and "error:" in err
+    # a torus label on edges that are not that torus is no family at all
+    false_torus = [(0, 1), (0, 2), (0, 5), (0, 6), (0, 7), (0, 9), (1, 4), (1, 5), (1, 6),
+                   (1, 10), (2, 3), (2, 4), (2, 8), (2, 10), (3, 5), (3, 11), (4, 5),
+                   (4, 6), (4, 7), (4, 8), (4, 11), (5, 7), (6, 9), (7, 10), (8, 11)]
+    gr.write_text(write_gr(Graph(12, false_torus, FamilyMeta("toroidal_grid", 4, 3))))
+    assert "c family toroidal_grid 4 3" in gr.read_text()
+    code, out, err = run(capsys, "gon", "winning", str(gr))
+    assert code == 1 and out == "" and err.startswith("error:")
+    # and a grid has no stock winning divisor
+    run(capsys, "gen", "grid", "3", "3", "-o", str(gr))
+    code, out, err = run(capsys, "gon", "winning", str(gr))
+    assert code == 1 and out == "" and "no stock winning divisor for family 'grid'" in err
 
 
 # --- usage errors ------------------------------------------------------------------

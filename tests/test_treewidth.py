@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -11,10 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipwidth.brambles import gen_grid_bramble, gen_torus_fg, min_hitting_set
+from chipwidth.brambles import (
+    Bramble,
+    BrambleError,
+    classify_family,
+    gen_balanced_bramble,
+    gen_grid_bramble,
+    gen_prism_b1,
+    gen_prism_b2,
+    gen_prism_collapsed,
+    gen_torus_cde,
+    gen_torus_fg,
+    min_hitting_set,
+)
+from chipwidth.chipfiring import gen_winning_divisor, is_winning_divisor
 from chipwidth.graphs import (
     FamilyMeta,
     Graph,
+    InvalidFamilyError,
     iter_bits,
     make_elementary,
     make_family,
@@ -33,6 +48,8 @@ from chipwidth.treewidth import (
     decomposition_from_elimination_order,
     degeneracy,
     exact_treewidth,
+    family_bramble,
+    family_claims,
     min_fill_order,
     read_td,
     treewidth_bounds_report,
@@ -157,32 +174,69 @@ def test_state_cap_degrades_to_bounds():
         assert res.states <= limits.max_states + 1
 
 
-def test_valid_lower_hint_preserves_answer():
-    g = make_family("grid", 3, 3)
-    res = exact_treewidth(g, SolverLimits(lower_bound_hint=3))
-    assert res.treewidth == 3 and res.proof_status == "exact"
+def test_lower_bound_hint_is_gone():
+    # a lower bound enters the search only as a checked witness bramble
+    with pytest.raises(TypeError):
+        SolverLimits(lower_bound_hint=3)
 
 
-# tw 4, degeneracy 3, min-fill width 5: a hint of 5 skips past the true width
+# tw 4, degeneracy 3, min-fill width 5: a lower bound of 5 taken on trust
+# would skip past the true width
 HINT_TRAP = Graph(10, [(0, 2), (0, 7), (1, 2), (1, 5), (1, 6), (1, 8), (2, 4), (2, 5),
                        (3, 4), (3, 5), (3, 6), (3, 7), (4, 6), (4, 9), (5, 8), (5, 9),
                        (7, 8), (8, 9)])
 
 
-def test_overstated_lower_hint_is_refused():
+def test_balanced_witness_on_hint_trap():
     assert degeneracy(HINT_TRAP) == 3 and min_fill_order(HINT_TRAP)[1] == 5
-    assert exact_treewidth(HINT_TRAP).treewidth == 4
-    with pytest.raises(ValueError, match="exceeds the treewidth"):
-        exact_treewidth(HINT_TRAP, SolverLimits(lower_bound_hint=5))
-    with pytest.raises(ValueError, match="exceeds the min-fill width"):
-        exact_treewidth(make_family("grid", 3, 3), SolverLimits(lower_bound_hint=5))
-    res = exact_treewidth(HINT_TRAP, SolverLimits(lower_bound_hint=4))
+    res = exact_treewidth(HINT_TRAP, witness=gen_balanced_bramble(HINT_TRAP))
     assert (res.proof_status, res.lower, res.upper) == ("exact", 4, 4)
-    # the width below the hint is decided too; without budget for it the
-    # hint proves nothing
-    res = exact_treewidth(make_family("grid", 3, 3),
-                          SolverLimits(max_states=0, lower_bound_hint=3))
-    assert (res.proof_status, res.lower, res.upper) == ("bounds_only", 2, 3)
+    assert res.witness_lower == 2
+    assert validate_tree_decomposition(HINT_TRAP, res.decomposition).valid
+
+
+# a strict bramble of order 3 on a graph of treewidth 2: strictness does not
+# lift the bound above order - 1
+STRICT_OVERSHOOT = Graph(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (2, 3), (2, 6),
+                             (3, 4), (4, 5), (4, 6)])
+STRICT_OVERSHOOT_ELEMENTS = [
+    (2, 3, 4, 5, 6), (3, 4, 5, 6), (1, 2, 4, 5, 6), (1, 2, 3, 6), (1, 2, 3, 4, 5),
+    (0, 2, 4, 5, 6), (0, 2, 3, 5, 6), (0, 2, 3, 4, 6), (0, 2, 3, 4, 5), (0, 1, 4, 5, 6),
+    (0, 1, 5), (0, 1, 3, 4, 6), (0, 1, 2, 4, 6), (0, 1, 2, 3, 4),
+]
+
+
+def test_strict_witness_proves_order_minus_one():
+    g = STRICT_OVERSHOOT
+    b = Bramble.from_elements(g, [mask(*e) for e in STRICT_OVERSHOOT_ELEMENTS])
+    assert classify_family(g, b.elements).verdict == "strict_bramble"
+    assert min_hitting_set(b).order == 3
+    plain = exact_treewidth(g)
+    assert (plain.proof_status, plain.treewidth) == ("exact", 2)
+    res = exact_treewidth(g, witness=b)
+    assert (res.proof_status, res.treewidth, res.witness_lower) == ("exact", 2, 2)
+
+
+def test_search_starts_at_the_witness_bound():
+    # with no states to spend, lower is what the checked witness proved
+    g = make_family("stacked_prism", 6, 3)
+    res = exact_treewidth(g, SolverLimits(max_states=0), family_bramble(g))
+    assert (res.proof_status, res.lower, res.witness_lower) == ("bounds_only", 4, 4)
+    res = exact_treewidth(g, SolverLimits(max_states=0))
+    assert (res.proof_status, res.lower, res.witness_lower) == ("bounds_only", 3, 0)
+
+
+def test_witness_is_checked_on_the_graph():
+    g = make_family("grid", 3, 3)
+    res = exact_treewidth(g, witness=gen_grid_bramble(make_family("grid", 3, 3)))
+    assert (res.proof_status, res.treewidth, res.witness_lower) == ("exact", 3, 2)
+    # a bramble over another graph on as many vertices
+    with pytest.raises(BrambleError, match="another graph"):
+        exact_treewidth(g, witness=gen_balanced_bramble(make_elementary("cycle", 9)))
+    # opposite corners do not touch, and {0, 2} is not connected
+    for elements in ([mask(0), mask(8)], [mask(0, 2), mask(0, 1)]):
+        with pytest.raises(BrambleError, match="not a bramble"):
+            exact_treewidth(g, witness=Bramble.from_elements(g, elements))
 
 
 def test_relabeling_invariance():
@@ -243,6 +297,20 @@ def test_exact_matches_brute_force_and_min_fill(g):
     h.add_edges_from(g.edges)
     nx_width, _ = nx.algorithms.approximation.treewidth_min_fill_in(h)
     assert res.treewidth <= nx_width
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(connected_graphs(max_n=9))
+def test_balanced_witness_keeps_width_and_status(g):
+    # the balanced family is a strict bramble on any graph; as a witness it
+    # may only move where the search starts
+    b = gen_balanced_bramble(g)
+    plain = exact_treewidth(g)
+    res = exact_treewidth(g, witness=b)
+    assert (res.treewidth, res.proof_status) == (plain.treewidth, plain.proof_status)
+    assert res.witness_lower == min_hitting_set(b).order - 1
+    assert res.lower >= res.witness_lower
+    assert validate_tree_decomposition(g, res.decomposition).valid
 
 
 # --- the path-kept elimination graph against the component-based search ----------
@@ -498,22 +566,84 @@ def test_covering_bag_torus():
     assert hit.bag.bit_count() >= min_hitting_set(b).order
 
 
-# --- family bounds report ----------------------------------------------------------
+# --- family claims and bounds report ---------------------------------------------
+
+
+# one graph per row of the claims table: interval, witness generator, style
+CLAIMS_TABLE = [
+    (("grid", 3, 4), (3, 3, gen_grid_bramble, None)),
+    (("grid", 1, 4), (1, 1, None, None)),
+    (("grid", 1, 1), (0, 0, None, None)),
+    (("stacked_prism", 7, 3), (6, 6, gen_prism_b1, "row_twos")),
+    (("stacked_prism", 5, 3), (5, 5, gen_prism_b2, "column_ones")),
+    (("stacked_prism", 6, 3), (5, 6, gen_prism_collapsed, "column_ones")),
+    (("toroidal_grid", 6, 3), (6, 6, gen_torus_cde, "row_twos")),
+    (("toroidal_grid", 3, 6), (6, 6, None, "column_twos")),
+    (("toroidal_grid", 4, 4), (6, 7, None, "row_twos")),
+    (("toroidal_grid", 4, 3), (5, 6, gen_torus_fg, "row_twos")),
+    (("toroidal_grid", 3, 4), (5, 6, None, "column_twos")),
+]
+
+
+@pytest.mark.parametrize("family, want", CLAIMS_TABLE,
+                         ids=[f"{k}-{m}-{n}" for (k, m, n), _ in CLAIMS_TABLE])
+def test_family_claims_table(family, want):
+    claims = family_claims(make_family(*family))
+    assert (claims.low, claims.high, claims.witness, claims.style) == want
+    assert ("open" in claims.note) == (claims.low < claims.high)
+
+
+def test_family_claims_hold_on_small_family_graphs():
+    # every family graph up to 20 vertices: the exact width lies in the
+    # claimed interval, the witness is checked below it, and the stock
+    # divisor wins
+    for g in family_graphs(20):
+        r = treewidth_bounds_report(g)
+        assert r.exact is not None and r.witness_lower <= r.exact, g
+        style = family_claims(g).style
+        if style is not None:
+            assert is_winning_divisor(g, gen_winning_divisor(g, style))[0], g
+
+
+def test_family_claims_refuse_unverified_metadata():
+    # FALSE_TORUS has treewidth 4, below the torus interval [5, 6]: the label,
+    # not the solver, is wrong, and the report must say so
+    g = Graph(12, FALSE_TORUS, FamilyMeta("toroidal_grid", 4, 3))
+    for call in (family_claims, family_bramble, treewidth_bounds_report):
+        with pytest.raises(InvalidFamilyError, match="not those of toroidal_grid 4 3"):
+            call(g)
+    with pytest.raises(InvalidFamilyError):
+        family_claims(make_elementary("cycle", 5))
+
+
+def test_bounds_report_refuses_a_false_formula(monkeypatch):
+    # G3,3 has treewidth 3; a table claiming 4 must not pass silently
+    import chipwidth.treewidth as tw
+
+    true_claims = tw.family_claims
+    monkeypatch.setattr(tw, "family_claims",
+                        lambda g: dataclasses.replace(true_claims(g), low=4, high=4))
+    with pytest.raises(RuntimeError, match=r"\[3, 3\] contradict predicted range \[4, 4\]"):
+        tw.treewidth_bounds_report(make_family("grid", 3, 3))
 
 
 def test_bounds_report_grid_and_prism():
-    r = treewidth_bounds_report(make_family("grid", 3, 4))
+    g = make_family("grid", 3, 4)
+    r = treewidth_bounds_report(g)
     assert (r.predicted_low, r.predicted_high, r.exact) == (3, 3, 3)
-    assert r.bramble_label == "grid_b" and r.bramble_order == 3
+    assert r.bramble_label == "grid_b" and r.witness_lower == 2
+    assert min_hitting_set(family_bramble(g)).order == 3
     r = treewidth_bounds_report(make_family("stacked_prism", 7, 2))
     assert (r.predicted_low, r.predicted_high, r.exact) == (4, 4, 4)
 
 
 def test_bounds_report_open_interval_prism():
-    r = treewidth_bounds_report(make_family("stacked_prism", 4, 2))
+    g = make_family("stacked_prism", 4, 2)
+    r = treewidth_bounds_report(g)
     assert (r.predicted_low, r.predicted_high) == (3, 4)
     assert not r.predicted_exact and "open" in r.note
-    assert r.minor_lower == 3
+    assert r.bramble_label == "prism_collapsed" and r.witness_lower == 2
+    assert min_hitting_set(family_bramble(g)).order == 3
     assert r.predicted_low <= r.exact <= r.predicted_high
 
 
@@ -526,9 +656,11 @@ def test_bounds_report_square_torus():
 def test_bounds_report_torus_margin_two():
     # the stock four-piece torus family tops out at order 5 on this instance,
     # one short of the predicted width; the exact solver still lands inside
-    r = treewidth_bounds_report(make_family("toroidal_grid", 5, 3))
+    g = make_family("toroidal_grid", 5, 3)
+    r = treewidth_bounds_report(g)
     assert (r.predicted_low, r.predicted_high, r.exact) == (6, 6, 6)
-    assert r.bramble_label == "torus_cde" and r.bramble_order == 5
+    assert r.bramble_label == "torus_cde" and r.witness_lower == 4
+    assert min_hitting_set(family_bramble(g)).order == 5
 
 
 # --- .td format ----------------------------------------------------------------------
