@@ -28,6 +28,7 @@ from .graphs import (
     InvalidFamilyError,
     bit,
     bits_list,
+    family_matches,
     iter_bits,
     line_vertices,
     make_family,
@@ -317,6 +318,8 @@ def _require_family(g: Graph, kind: str, what: str) -> tuple[int, int]:
     fam = g.family
     if fam is None or fam.kind != kind:
         raise InvalidFamilyError(f"{what} needs a {kind} graph")
+    if not family_matches(fam, g.n, g.edge_set):
+        raise InvalidFamilyError(f"the edges are not those of {fam.kind} {fam.m} {fam.n}")
     return fam.m, fam.n
 
 

@@ -30,7 +30,14 @@ from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import GRID_KINDS, Graph, InvalidFamilyError, iter_bits, line_vertices
+from .graphs import (
+    GRID_KINDS,
+    Graph,
+    InvalidFamilyError,
+    family_matches,
+    iter_bits,
+    line_vertices,
+)
 
 
 class ChipFiringError(Exception):
@@ -356,6 +363,8 @@ def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:
     fam = g.family
     if fam is None or fam.kind not in GRID_KINDS:
         raise InvalidFamilyError("winning divisor generator needs a family graph")
+    if not family_matches(fam, g.n, g.edge_set):
+        raise InvalidFamilyError(f"the edges are not those of {fam.kind} {fam.m} {fam.n}")
     styles = {
         "stacked_prism": ("column_ones", "row_twos"),
         "toroidal_grid": ("row_twos", "column_twos"),

@@ -324,70 +324,145 @@ def are_isomorphic(g: Graph, h: Graph, return_mapping: bool = False):
     Suited to the small graphs handled here (a few dozen vertices). The
     mapping, when requested, sends g-vertex v to mapping[v] in h.
     """
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return (False, None) if return_mapping else False
-    gdeg = [g.degree(v) for v in range(g.n)]
-    hdeg = [h.degree(v) for v in range(h.n)]
-    if sorted(gdeg) != sorted(hdeg):
-        return (False, None) if return_mapping else False
-
-    order = _search_order(g, gdeg)
-    n = g.n
-    mapping = [-1] * n
-    used = 0
-    mapped_h_mask = 0
-    mapped_g_mask = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used, mapped_h_mask, mapped_g_mask
-        if i == n:
-            return True
-        v = order[i]
-        want = 0
-        for u in iter_bits(g.adj[v] & mapped_g_mask):
-            want |= 1 << mapping[u]
-        dv = gdeg[v]
-        for w in range(n):
-            if used >> w & 1 or hdeg[w] != dv:
-                continue
-            if h.adj[w] & mapped_h_mask != want:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            mapped_h_mask |= 1 << w
-            mapped_g_mask |= 1 << v
-            if extend(i + 1):
-                return True
-            mapping[v] = -1
-            used ^= 1 << w
-            mapped_h_mask ^= 1 << w
-            mapped_g_mask ^= 1 << v
-        return False
-
-    ok = extend(0)
+    ok = (
+        g.n == h.n
+        and g.num_edges == h.num_edges
+        and sorted(map(int.bit_count, g.adj)) == sorted(map(int.bit_count, h.adj))
+    )
+    mapping = [-1] * g.n
+    if ok:
+        ok = _extend(g, h, _search_order(g), mapping, 0)
     if return_mapping:
-        return ok, (list(mapping) if ok else None)
+        return ok, (mapping if ok else None)
     return ok
 
 
-def _search_order(g: Graph, deg: list[int]) -> list[int]:
+# Automorphism groups larger than this are replaced by the identity alone:
+# the width search pays for every element at every state.
+MAX_GROUP_ORDER = 1024
+
+
+def automorphism_group(g: Graph) -> list[list[int]]:
+    """Every automorphism of g as a vertex permutation, the identity first.
+
+    Built as a stabilizer chain along _search_order: level i holds one
+    automorphism for each image of order[i] while order[:i] stays fixed,
+    and the group is every product of one element per level, each element
+    once. The levels are built deepest first, so an image reached by
+    composing automorphisms already found needs no search. The group's
+    order, the product of the level sizes, is known before any element is
+    built; past MAX_GROUP_ORDER the result is the identity alone.
+    """
+    n = g.n
+    order = _search_order(g)
+    identity = list(range(n))
+    found: list[list[int]] = []
+    levels: list[list[list[int]]] = []
+    size = 1
+    fixed = g.full_mask
+    for i in reversed(range(n)):
+        v = order[i]
+        fixed ^= 1 << v
+        # an image of v is adjacent to the image of a fixed neighbour, which
+        # is that neighbour itself
+        anchors = g.adj[v] & fixed
+        pool = g.adj[anchors.bit_length() - 1] if anchors else g.full_mask
+        # orbit[w] fixes order[:i] and sends v to w; the automorphisms found
+        # so far fix order[:i], and the orbit stays closed under them
+        orbit = {v: identity}
+        dv = g.degree(v)
+        for w in iter_bits(pool & ~fixed):
+            if w in orbit or g.degree(w) != dv:
+                continue
+            mapping = identity[:]
+            for u in order[i:]:
+                mapping[u] = -1
+            if not _extend(g, g, order, mapping, i, 1 << w):
+                continue
+            found.append(mapping)
+            todo = list(orbit)
+            while todo:
+                x = todo.pop()
+                for p in found:
+                    y = p[x]
+                    if y not in orbit:
+                        orbit[y] = [p[u] for u in orbit[x]]
+                        todo.append(y)
+        size *= len(orbit)
+        if size > MAX_GROUP_ORDER:
+            return [identity]
+        if len(orbit) > 1:
+            levels.append(list(orbit.values()))
+    group = [identity]
+    for level in levels:
+        group = [[t[u] for u in p] for t in level for p in group]
+    return group
+
+
+def _extend(g: Graph, h: Graph, order: list[int], mapping: list[int], i: int,
+            allowed: int = -1) -> bool:
+    """Complete mapping to an isomorphism from g to h by backtracking.
+
+    mapping sends order[:i] into h and holds -1 elsewhere; order[i] may go
+    only to the vertices in the bitmask allowed. Returns whether a
+    completion exists, which is then left in mapping.
+    """
+    n, full = g.n, h.full_mask
+    gadj, hadj = g.adj, h.adj
+    gmask = hmask = 0
+    for v in order[:i]:
+        gmask |= 1 << v
+        hmask |= 1 << mapping[v]
+
+    def step(j: int, allowed: int) -> bool:
+        nonlocal gmask, hmask
+        if j == n:
+            return True
+        v = order[j]
+        # an image of v is adjacent to the images of its mapped neighbours
+        # and to no other mapped vertex
+        want = 0
+        pool = full & allowed & ~hmask
+        for u in iter_bits(gadj[v] & gmask):
+            want |= 1 << mapping[u]
+            pool &= hadj[mapping[u]]
+        dv = gadj[v].bit_count()
+        for w in iter_bits(pool):
+            if hadj[w].bit_count() != dv or hadj[w] & hmask != want:
+                continue
+            mapping[v] = w
+            gmask |= 1 << v
+            hmask |= 1 << w
+            if step(j + 1, -1):
+                return True
+            gmask ^= 1 << v
+            hmask ^= 1 << w
+        mapping[v] = -1
+        return False
+
+    return step(i, allowed)
+
+
+def _search_order(g: Graph) -> list[int]:
     # Rarest degree first, then grow so every vertex sees a mapped neighbor
     # when the graph is connected; falls back to fresh seeds per component.
     from collections import Counter
 
+    adj = g.adj
+    deg = [a.bit_count() for a in adj]
     freq = Counter(deg)
-    start = min(range(g.n), key=lambda v: (freq[deg[v]], -deg[v], v))
-    order = [start]
-    placed = 1 << start
+    order: list[int] = []
+    placed = reach = 0
     while len(order) < g.n:
-        cand = [v for v in range(g.n) if not placed >> v & 1 and g.adj[v] & placed]
-        if not cand:
-            cand = [v for v in range(g.n) if not placed >> v & 1]
-            nxt = min(cand, key=lambda v: (freq[deg[v]], -deg[v], v))
+        cand = reach & ~placed
+        if cand:
+            nxt = max(iter_bits(cand), key=lambda v: ((adj[v] & placed).bit_count(), deg[v], -v))
         else:
-            nxt = max(cand, key=lambda v: ((g.adj[v] & placed).bit_count(), deg[v], -v))
+            cand = g.full_mask & ~placed
+            nxt = min(iter_bits(cand), key=lambda v: (freq[deg[v]], -deg[v], v))
         order.append(nxt)
         placed |= 1 << nxt
+        reach |= adj[nxt]
     return order
 
 
@@ -466,9 +541,10 @@ def read_gr(text: str) -> Graph:
 def family_matches(fam: FamilyMeta, n: int, edge_set: set[tuple[int, int]]) -> bool:
     """Do n vertices and these edges rebuild the family fam names?
 
-    Orbit, row/column, bramble and divisor code read grid and elementary
-    dimensions, so those kinds must rebuild to the edges given; checking the
-    count first keeps lying metadata from forcing a huge rebuild.
+    The claims table and the row/column, bramble and divisor code read grid
+    and elementary dimensions, so those kinds must rebuild to the edges
+    given; checking the count first keeps lying metadata from forcing a
+    huge rebuild.
     """
     if fam.kind == "other":
         return True

@@ -11,16 +11,18 @@ Iterating k upward from a lower bound until the first success yields the
 exact value together with a witness elimination order.
 
 The search visits every feasible prefix at most once, which makes it the
-classic subset dynamic program in top-down form. On grids, prisms and tori
-it also uses the automorphisms their metadata names, once each is checked
-against the edges: first moves are one vertex per orbit, and a prefix whose
-image under some automorphism was refuted is skipped at every depth. The
-path keeps the images of the prefix under the whole group, and a refuted
-prefix is memoized by its mask and by the least of its images. Only
-infeasible subtrees are skipped, so the witness order, and with it the
-decomposition, is the one the search finds without symmetry. It runs under
-a state cap and a wall-clock budget (60 s by default) and reports bounds
-when either runs out.
+classic subset dynamic program in top-down form. It also uses the
+automorphism group of the graph, computed from its edges alone, so a
+relabelled graph or one without family metadata gets the same symmetry:
+first moves are one vertex per orbit, and a prefix whose image under some
+automorphism was refuted is skipped at every depth. The path keeps the
+images of the prefix under the whole group, and a refuted prefix is
+memoized by its mask and by the least of its images. A group larger than
+graphs.MAX_GROUP_ORDER is replaced by the identity. Only infeasible
+subtrees are skipped, so the witness order, and with it the decomposition,
+is the one the search finds without symmetry. It runs under a state cap
+and a wall-clock budget (60 s by default) and reports bounds when either
+runs out.
 
 A lower bound enters the search one way: a witness bramble, checked on the
 graph itself, whose order minus one is where the search starts.
@@ -51,6 +53,7 @@ from .graphs import (
     GRID_KINDS,
     Graph,
     InvalidFamilyError,
+    automorphism_group,
     bits_list,
     family_matches,
     iter_bits,
@@ -120,7 +123,8 @@ class WidthResult:
     """Solver outcome. treewidth always equals width(decomposition); it is
     the exact treewidth precisely when proof_status == "exact".
     witness_lower is the bound the checked witness bramble proved, 0 when
-    none was given."""
+    none was given. group_order is the order of the automorphism group the
+    search used, 1 when g's group is larger than MAX_GROUP_ORDER."""
 
     treewidth: int
     decomposition: TreeDecomposition
@@ -130,6 +134,7 @@ class WidthResult:
     states: int
     elapsed: float
     witness_lower: int
+    group_order: int
 
 
 def _check_tree(td: TreeDecomposition) -> None:
@@ -288,44 +293,6 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
     return order, width
 
 
-def _line_maps(length: int, cyclic: bool) -> list[list[int]]:
-    # the dihedral maps of a cycle, or the identity and reversal of a path
-    if cyclic:
-        return [[(a + s * i) % length for i in range(length)]
-                for a in range(length) for s in (1, -1)]
-    return [list(range(length)), list(range(length - 1, -1, -1))]
-
-
-def _family_group(g: Graph) -> list[list[int]]:
-    """Automorphisms of a grid-like family graph, as vertex permutations.
-
-    They come from the metadata: a grid is fixed by its row and column
-    reflections (order 4), a prism also by its m row rotations (order 4m),
-    a torus also by its n column rotations (order 4mn). Every permutation is
-    checked against the edges; without metadata, or when any check fails,
-    the group is the identity alone. The identity comes first.
-    """
-    identity = [list(range(g.n))]
-    fam = g.family
-    if fam is None or fam.kind not in GRID_KINDS:
-        return identity
-    m, n = fam.m, fam.n
-    if m < 1 or n < 1 or m * n != g.n:
-        return identity
-    rows = _line_maps(m, fam.kind != "grid")
-    cols = _line_maps(n, fam.kind == "toroidal_grid")
-    perms = {
-        tuple(r[i] * n + c[j] for i in range(m) for j in range(n)): None
-        for r in rows
-        for c in cols
-    }
-    # a bijection that keeps every edge keeps the edge set
-    for p in perms:
-        if not all(g.has_edge(p[u], p[v]) for u, v in g.edges):
-            return identity
-    return [list(p) for p in perms]
-
-
 def _orbit_roots(group: list[list[int]]) -> list[int]:
     # the least vertex of each orbit, ascending; enough first moves, since
     # an order starting anywhere else has an image starting there
@@ -362,10 +329,10 @@ def _decide_width(
     """Is there an elimination order with every back-degree <= k?
 
     Returns (verdict, order). verdict None means the budget ran out before
-    the question was settled. group lists automorphisms of g, as
-    _family_group gives them; a prefix with a refuted image is skipped,
-    which drops only infeasible subtrees, so the verdict and the order stay
-    those of the search without it.
+    the question was settled. group lists automorphisms of g, the identity
+    first, as automorphism_group gives them; a prefix with a refuted image
+    is skipped, which drops only infeasible subtrees, so the verdict and
+    the order stay those of the search without it.
     """
     n = g.n
     if n <= k + 1:
@@ -518,7 +485,7 @@ def exact_treewidth(
     lower = max(degeneracy(g), 1 if g.num_edges else 0, witness_lower)
     upper = mf_width
     best_order = mf_order
-    group = _family_group(g)
+    group = automorphism_group(g)
     roots = _orbit_roots(group)
 
     k = lower
@@ -544,6 +511,7 @@ def exact_treewidth(
         states=budget.states,
         elapsed=time.monotonic() - t0,
         witness_lower=witness_lower,
+        group_order=len(group),
     )
 
 

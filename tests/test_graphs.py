@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -18,8 +19,10 @@ from chipwidth.graphs import (
     Graph,
     GraphError,
     InvalidFamilyError,
+    MAX_GROUP_ORDER,
     MissingEdgeError,
     are_isomorphic,
+    automorphism_group,
     bits_list,
     cartesian_product,
     line_vertices,
@@ -263,6 +266,86 @@ def test_isomorphism_matches_networkx(pair):
         assert sorted(mapping) == list(range(g.n))
         assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges) \
             == sorted(h.edges)
+
+
+# --- automorphisms ----------------------------------------------------------------
+
+
+def assert_group_is_aut(g: Graph) -> list[list[int]]:
+    # every listed permutation keeps the edges, the list is a group with the
+    # identity first, and its order is networkx's count (identity past the cap)
+    group = automorphism_group(g)
+    assert group[0] == list(range(g.n))
+    elements = {tuple(p) for p in group}
+    assert len(elements) == len(group)
+    for p in group:
+        assert sorted(p) == list(range(g.n))
+        assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == g.edge_set
+        assert all(tuple(p[x] for x in q) in elements for q in group)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(to_networkx(g), to_networkx(g))
+    count = sum(1 for _ in itertools.islice(matcher.isomorphisms_iter(), MAX_GROUP_ORDER + 1))
+    assert len(group) == (count if count <= MAX_GROUP_ORDER else 1)
+    return group
+
+
+@st.composite
+def connected_graphs(draw) -> Graph:
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(connected_graphs())
+def test_automorphism_group_matches_networkx(g):
+    assert_group_is_aut(g)
+
+
+def family_graphs(max_vertices: int):
+    for m in range(1, max_vertices + 1):
+        for n in range(1, max_vertices // m + 1):
+            yield grid(m, n)
+            if m >= 3:
+                yield prism(m, n)
+            if m >= 3 and n >= 3:
+                yield torus(m, n)
+
+
+def test_automorphism_group_of_family_graphs():
+    rng = random.Random(13)
+    for g in family_graphs(20):
+        group = assert_group_is_aut(g)
+        # a relabelled copy has the conjugate group
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        back = sorted(range(g.n), key=perm.__getitem__)
+        conjugate = {tuple(perm[p[back[x]]] for x in range(g.n)) for p in group}
+        moved = automorphism_group(g.relabeled(perm))
+        assert {tuple(p) for p in moved} == conjugate
+        assert moved[0] == list(range(g.n))
+
+
+def test_automorphism_group_orders():
+    # the transpose of a square grid, the cube Q3 = Y4,2, K3 x K3 = T3,3,
+    # Q4 = T4,4, D5 x D5 with the transpose on T5,5, D8 x Z2 on Y8,4, and
+    # the 6! of K_{1,6}, under the cap
+    star6 = Graph(7, [(0, v) for v in range(1, 7)])
+    for g, order in ((grid(5, 5), 8), (prism(4, 2), 48), (torus(3, 3), 72),
+                     (torus(4, 4), 384), (torus(5, 5), 200), (prism(8, 4), 32),
+                     (star6, 720)):
+        assert len(automorphism_group(g)) == order, g
+
+
+def test_automorphism_group_cap():
+    # K_{1,12} has 12! automorphisms; the chain knows the order before it
+    # builds an element and returns the identity alone
+    star = Graph(13, [(0, v) for v in range(1, 13)])
+    t0 = time.perf_counter()
+    assert automorphism_group(star) == [list(range(13))]
+    assert time.perf_counter() - t0 < 1.0
+    assert exact_treewidth(star).group_order == 1
 
 
 # --- .gr format -----------------------------------------------------------------

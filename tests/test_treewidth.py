@@ -6,10 +6,11 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from functools import partial
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chipwidth.brambles import (
@@ -30,6 +31,7 @@ from chipwidth.graphs import (
     FamilyMeta,
     Graph,
     InvalidFamilyError,
+    automorphism_group,
     iter_bits,
     make_elementary,
     make_family,
@@ -42,7 +44,6 @@ from chipwidth.treewidth import (
     TreeDecomposition,
     _Budget,
     _decide_width,
-    _family_group,
     _orbit_roots,
     covering_bag,
     decomposition_from_elimination_order,
@@ -417,10 +418,10 @@ def test_search_matches_component_oracle(g, cap, data):
 
 # sha256 of write_td, first 16 hex digits, recorded from the component-based
 # search; any change to the witness order shows up here. The states count
-# the search with its failed prefixes memoized up to the family's symmetry.
+# the search with its failed prefixes memoized up to the graph's symmetry.
 PINNED_SEARCHES = [
     ("grid", 5, 4, None, "exact", 4, 4, 952, "353917de3377ffc5"),
-    ("toroidal_grid", 4, 4, None, "exact", 6, 6, 76, "b72123f1f791cc82"),
+    ("toroidal_grid", 4, 4, None, "exact", 6, 6, 40, "b72123f1f791cc82"),
     ("toroidal_grid", 5, 3, None, "exact", 6, 6, 45, "996265c7e92f6664"),
     ("toroidal_grid", 6, 3, None, "exact", 6, 6, 170, "6b4cc05bd2301155"),
     ("stacked_prism", 8, 4, 4000, "bounds_only", 4, 8, 4001, "9a16d6b6f979c40b"),
@@ -438,13 +439,14 @@ def test_search_pinned_on_family_graphs(kind, m, n, cap, status, lower, upper, s
 
 
 def test_search_pinned_on_relabeled_family_graph():
-    # without metadata the group is the identity alone: the states are the
-    # ones the search visited before it used symmetry below the root
+    # the group comes from the edges, so a relabelled torus without its
+    # metadata keeps its symmetry (1590 states with the identity alone)
     g = make_family("toroidal_grid", 5, 3)
     perm = list(range(g.n))
     random.Random(11).shuffle(perm)
     res = exact_treewidth(g.relabeled(perm))
-    assert (res.proof_status, res.lower, res.upper, res.states) == ("exact", 6, 6, 1590)
+    assert (res.proof_status, res.lower, res.upper, res.states) == ("exact", 6, 6, 45)
+    assert res.group_order == 60
     digest = hashlib.sha256(write_td(res.decomposition).encode()).hexdigest()[:16]
     assert digest == "f7dbbea5b36d00df"
 
@@ -464,7 +466,8 @@ def family_graphs(max_vertices: int):
 
 def test_orbit_roots_are_the_family_representatives():
     # one first move per orbit: a torus is vertex transitive, a prism has
-    # one per column pair j, n-1-j, and a grid one per row and column pair
+    # one per column pair j, n-1-j, and a grid one per row and column pair,
+    # merged with its transpose when the grid is square
     for g in family_graphs(30):
         fam = g.family
         m, n = fam.m, fam.n
@@ -472,28 +475,41 @@ def test_orbit_roots_are_the_family_representatives():
         want = {
             "toroidal_grid": [0],
             "stacked_prism": list(cols),
-            "grid": [i * n + j for i in rows for j in cols],
+            "grid": [i * n + j for i in rows for j in cols if m != n or i <= j],
         }[fam.kind]
-        group = _family_group(g)
+        group = automorphism_group(g)
         assert _orbit_roots(group) == want, fam
-        assert len(group) == len({tuple(p) for p in group})
-        assert group[0] == list(range(g.n))
-    # orders 4mn, 4m and 4
+    # orders 4mn, 4m and 4 off the square and cube cases
     for kind, order in (("toroidal_grid", 80), ("stacked_prism", 20), ("grid", 4)):
-        assert len(_family_group(make_family(kind, 5, 4))) == order
+        assert len(automorphism_group(make_family(kind, 5, 4))) == order
+
+
+def assert_symmetric_memo_matches_identity_search(g: Graph) -> None:
+    # skipping prefixes whose image was refuted drops only infeasible
+    # subtrees: same verdict and order at every width, never more states
+    group = automorphism_group(g)
+    roots = _orbit_roots(group)
+    for k in range(g.n):
+        ours, plain = _Budget(10**7, None), _Budget(10**7, None)
+        got = _decide_width(g, k, ours, roots, group)
+        want = _decide_width(g, k, plain, roots)
+        assert got == want and ours.states <= plain.states, (g, k)
 
 
 def test_symmetric_memo_matches_identity_search():
-    # skipping prefixes whose image was refuted drops only infeasible
-    # subtrees: same verdict and order at every width, never more states
+    rng = random.Random(17)
     for g in family_graphs(20):
-        group = _family_group(g)
-        roots = _orbit_roots(group)
-        for k in range(g.n):
-            ours, plain = _Budget(10**7, None), _Budget(10**7, None)
-            got = _decide_width(g, k, ours, roots, group)
-            want = _decide_width(g, k, plain, roots)
-            assert got == want and ours.states <= plain.states, (g, k)
+        assert_symmetric_memo_matches_identity_search(g)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert_symmetric_memo_matches_identity_search(g.relabeled(perm))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(connected_graphs(max_n=9))
+def test_symmetric_memo_on_random_graphs(g):
+    assume(len(automorphism_group(g)) > 1)
+    assert_symmetric_memo_matches_identity_search(g)
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
@@ -513,7 +529,8 @@ def test_unverified_metadata_is_not_trusted():
     # Graph() takes metadata on trust; the search must check it first
     lying = FamilyMeta("toroidal_grid", 4, 3)
     g = Graph(12, FALSE_TORUS, lying)
-    assert _family_group(g) == [list(range(12))]
+    # the group is read from the edges and ignores the metadata
+    assert automorphism_group(g) == automorphism_group(Graph(12, FALSE_TORUS))
     res = exact_treewidth(g)
     assert (res.proof_status, res.treewidth) == ("exact", 4)
     rng = random.Random(5)
@@ -527,7 +544,7 @@ def test_unverified_metadata_is_not_trusted():
     perm = list(range(12))
     random.Random(3).shuffle(perm)
     moved = Graph(12, torus.relabeled(perm).edges, torus.family)
-    assert _family_group(moved) == [list(range(12))]
+    assert automorphism_group(moved) == automorphism_group(torus.relabeled(perm))
     assert exact_treewidth(moved).treewidth == 5
 
 
@@ -609,7 +626,10 @@ def test_family_claims_refuse_unverified_metadata():
     # FALSE_TORUS has treewidth 4, below the torus interval [5, 6]: the label,
     # not the solver, is wrong, and the report must say so
     g = Graph(12, FALSE_TORUS, FamilyMeta("toroidal_grid", 4, 3))
-    for call in (family_claims, family_bramble, treewidth_bounds_report):
+    # the generators check the label too, so no caller gets a bramble or a
+    # divisor over rows that are not there
+    winning = partial(gen_winning_divisor, style="row_twos")
+    for call in (family_claims, family_bramble, treewidth_bounds_report, gen_torus_fg, winning):
         with pytest.raises(InvalidFamilyError, match="not those of toroidal_grid 4 3"):
             call(g)
     with pytest.raises(InvalidFamilyError):
