@@ -28,7 +28,6 @@ from .graphs import (
     InvalidFamilyError,
     bit,
     bits_list,
-    family_matches,
     iter_bits,
     line_vertices,
     make_family,
@@ -36,6 +35,8 @@ from .graphs import (
     mask_of,
 )
 
+# Most distinct elements Bramble.from_elements accepts before it raises
+# ElementLimitError; read at each call.
 DEFAULT_ELEMENT_LIMIT = 2_000_000
 
 NOT_BRAMBLE = "not_bramble"
@@ -55,15 +56,6 @@ class ElementLimitError(BrambleError):
     """Generator would materialize more elements than the configured cap."""
 
 
-class OrderBudgetError(BrambleError):
-    """No hitting set within the budget; carries the best known bounds."""
-
-    def __init__(self, lower: int, upper: int):
-        super().__init__(f"no hitting set within budget; order in [{lower}, {upper}]")
-        self.lower = lower
-        self.upper = upper
-
-
 @dataclass(frozen=True)
 class Bramble:
     """Deduplicated element masks over a graph, tagged with a family label."""
@@ -78,7 +70,6 @@ class Bramble:
         graph: Graph,
         elements: Iterable[int],
         label: str = "custom",
-        max_elements: int = DEFAULT_ELEMENT_LIMIT,
     ) -> "Bramble":
         seen: dict[int, None] = {}
         for e in elements:
@@ -87,9 +78,9 @@ class Bramble:
             if e >> graph.n:
                 raise BrambleError("element contains a vertex outside the graph")
             if e not in seen:
-                if len(seen) >= max_elements:
+                if len(seen) >= DEFAULT_ELEMENT_LIMIT:
                     raise ElementLimitError(
-                        f"more than {max_elements} distinct elements; raise the cap"
+                        f"more than {DEFAULT_ELEMENT_LIMIT} distinct elements; raise the cap"
                     )
                 seen[e] = None
         if not seen:
@@ -114,13 +105,11 @@ class Classification:
 @dataclass(frozen=True)
 class OrderCertificate:
     """Exact minimum hitting set: its size and the lexicographically least
-    optimal witness. proof is always branch_and_bound, the only engine.
-    nodes counts the decision-search calls behind the order and the witness;
-    it is deterministic for a given element set."""
+    optimal witness. nodes counts the decision-search calls behind the
+    order and the witness; it is deterministic for a given element set."""
 
     order: int
     witness: int
-    proof: str
     nodes: int
 
 
@@ -192,17 +181,6 @@ def _greedy_hitting_set(holders: list[int], unhit: int) -> int:
         chosen |= bit(v)
         unhit &= ~holders[v]
     return chosen
-
-
-def _packing_bound(elements: Iterable[int]) -> int:
-    """Size of a first-fit packing of pairwise disjoint elements."""
-    taken = 0
-    count = 0
-    for e in elements:
-        if not e & taken:
-            taken |= e
-            count += 1
-    return count
 
 
 class _HittingSearch:
@@ -281,49 +259,42 @@ class _HittingSearch:
         return witness
 
 
-def min_hitting_set(b: Bramble, budget: int | None = None) -> OrderCertificate:
+def min_hitting_set(b: Bramble) -> OrderCertificate:
     """Exact minimum hitting set of the bramble's elements.
 
     Counts up from the degree-sum bound at the root and asks a decision
-    search for a hitting set of each size in turn, until one exists, the
-    size reaches that of a greedy hitting set, or it passes the budget. The
-    search branches on the vertices of the smallest unhit element, each
-    tried vertex barred from the branches after it, and prunes with the
-    degree-sum bound over per-vertex bitsets of element indices. The
+    search for a hitting set of each size in turn, until one exists or the
+    size reaches that of a greedy hitting set. The search branches on the
+    vertices of the smallest unhit element, each tried vertex barred from
+    the branches after it, and prunes with the degree-sum bound over
+    per-vertex bitsets of element indices. The
     witness is the lexicographically least optimal hitting set, so equal
-    inputs always give byte-equal certificates. A budget smaller than the
-    true order raises OrderBudgetError carrying the best known bounds: a
-    first-fit disjoint packing (or budget + 1) below, the greedy hitting
-    set above.
+    inputs always give byte-equal certificates.
     """
     n = b.graph.n
-    if budget is None:
-        budget = n
     search = _HittingSearch(b.elements, n)
     full = (1 << n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)
-    while k < upper and k <= budget and not search.exists(search.everything, k, full):
+    while k < upper and not search.exists(search.everything, k, full):
         k += 1
-    if k > budget:
-        raise OrderBudgetError(max(_packing_bound(b.elements), budget + 1), upper)
     witness = search.lex_least(k)
-    return OrderCertificate(k, witness, "branch_and_bound", search.nodes)
+    return OrderCertificate(k, witness, search.nodes)
 
 
 # --- generators --------------------------------------------------------------
 
 
 def _require_family(g: Graph, kind: str, what: str) -> tuple[int, int]:
+    """g's (m, n), or InvalidFamilyError unless g is labelled kind. Graph
+    checked the label against the edges when g was built."""
     fam = g.family
     if fam is None or fam.kind != kind:
         raise InvalidFamilyError(f"{what} needs a {kind} graph")
-    if not family_matches(fam, g.n, g.edge_set):
-        raise InvalidFamilyError(f"the edges are not those of {fam.kind} {fam.m} {fam.n}")
     return fam.m, fam.n
 
 
-def gen_grid_bramble(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+def gen_grid_bramble(g: Graph) -> Bramble:
     """Crosses: the union of row i and column j, for every (i, j)."""
     m, n = _require_family(g, "grid", "grid bramble")
 
@@ -333,10 +304,10 @@ def gen_grid_bramble(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bra
             for j in range(n):
                 yield row | line_vertices(g, "column", j)
 
-    return Bramble.from_elements(g, gen(), "grid_b", max_elements)
+    return Bramble.from_elements(g, gen(), "grid_b")
 
 
-def gen_prism_b1(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+def gen_prism_b1(g: Graph) -> Bramble:
     """Tall-prism bramble: a column missing one vertex plus two full rows
     that avoid the deleted point. Needs 2n < m; order is 2n."""
     m, n = _require_family(g, "stacked_prism", "prism bramble b1")
@@ -352,10 +323,10 @@ def gen_prism_b1(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble
                 for r1, r2 in combinations((r for r in range(m) if r != d), 2):
                     yield cut | rows[r1] | rows[r2]
 
-    return Bramble.from_elements(g, gen(), "prism_b1", max_elements)
+    return Bramble.from_elements(g, gen(), "prism_b1")
 
 
-def gen_prism_b2(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+def gen_prism_b2(g: Graph) -> Bramble:
     """Wide-prism bramble: crosses, one row plus two cut columns, and two
     rows plus two columns cut in a common row. Needs m < 2n; order is m."""
     m, n = _require_family(g, "stacked_prism", "prism bramble b2")
@@ -396,10 +367,10 @@ def gen_prism_b2(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble
                         | (cols[j2] & ~bit(d * n + j2))
                     )
 
-    return Bramble.from_elements(g, gen(), "prism_b2", max_elements)
+    return Bramble.from_elements(g, gen(), "prism_b2")
 
 
-def gen_prism_collapsed(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+def gen_prism_collapsed(g: Graph) -> Bramble:
     """prism_b2 of Y(2n-1, n), pulled back to Y(2n, n) through the merge of
     rows 0 and 1: element e lifts to its rows shifted down one plus its row
     0 in place. Merging a hitting set of the lifts hits every element, so
@@ -408,12 +379,12 @@ def gen_prism_collapsed(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> 
     if m != 2 * n:
         raise WrongRegimeError(f"collapsed bramble needs m = 2n, got m={m}, n={n}")
     row0 = line_vertices(g, "row", 0)
-    small = gen_prism_b2(make_family("stacked_prism", m - 1, n), max_elements)
+    small = gen_prism_b2(make_family("stacked_prism", m - 1, n))
     lifts = (e << n | e & row0 for e in small.elements)
-    return Bramble.from_elements(g, lifts, "prism_collapsed", max_elements)
+    return Bramble.from_elements(g, lifts, "prism_collapsed")
 
 
-def gen_torus_cde(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+def gen_torus_cde(g: Graph) -> Bramble:
     """Wide-torus bramble, defined for m >= n + 2.
 
     Three shapes: a cut column with four cut rows (no column taking three of
@@ -469,7 +440,7 @@ def gen_torus_cde(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Brambl
                                 e |= cut_row(r, c)
                             yield e
 
-    return Bramble.from_elements(g, gen(), "torus_cde", max_elements)
+    return Bramble.from_elements(g, gen(), "torus_cde")
 
 
 def _product_no_triple(choices: list[int], count: int) -> Iterator[tuple[int, ...]]:
@@ -489,7 +460,7 @@ def _product_not_constant(choices: list[int], count: int) -> Iterator[tuple[int,
             yield tup
 
 
-def gen_torus_fg(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+def gen_torus_fg(g: Graph) -> Bramble:
     """Near-square-torus bramble of order 2n for m = n + 1. Not strict:
     shapes are a cut column plus a full row, and a cut column plus two cut
     rows. The first two rows together form a hitting set of size 2n."""
@@ -518,10 +489,10 @@ def gen_torus_fg(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble
                                 continue
                             yield cut | left | (rows[r2] & ~bit(r2 * n + c2))
 
-    return Bramble.from_elements(g, gen(), "torus_fg", max_elements)
+    return Bramble.from_elements(g, gen(), "torus_fg")
 
 
-def gen_balanced_bramble(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) -> Bramble:
+def gen_balanced_bramble(g: Graph) -> Bramble:
     """Every connected vertex set of exactly floor(n/2) + 1 vertices.
 
     Each element holds more than half the vertices, so any two share one
@@ -556,7 +527,7 @@ def gen_balanced_bramble(g: Graph, max_elements: int = DEFAULT_ELEMENT_LIMIT) ->
             below = bit(root) - 1  # the root is the lowest vertex of its sets
             yield from grow(bit(root), g.adj[root] & ~below, below)
 
-    return Bramble.from_elements(g, gen(), "balanced", max_elements)
+    return Bramble.from_elements(g, gen(), "balanced")
 
 
 # --- bramble file format ------------------------------------------------------

@@ -12,7 +12,7 @@ class Certificate:
 
     verdict is the outcome in the claim's own terms, such as exact or
     bounds_only, valid or invalid, pass or fail, wins or loses. proof names
-    the procedure that settled the claim (e.g. branch_and_bound, subset_dp,
+    the procedure that settled the claim (e.g. subset_dp, hitting_set_search,
     exhaustive_enumeration). timing is wall seconds; serialization can
     withhold it so that repeated runs on the same input stay byte-identical.
     """

@@ -34,10 +34,13 @@ from .graphs import (
     GRID_KINDS,
     Graph,
     InvalidFamilyError,
-    family_matches,
     iter_bits,
     line_vertices,
 )
+
+# Most divisors exact_gonality enumerates, over all degrees; read at each
+# call. A degree that would pass it ends the search with lower_bound_only.
+ENUMERATION_CAP = 10_000_000
 
 
 class ChipFiringError(Exception):
@@ -284,9 +287,9 @@ class GonalityResult:
 
     status "exact" means gonality is the least degree of a winning divisor
     and losing_proof lists, for every effective divisor of degree
-    gonality - 1, the first opponent vertex that defeats it. Budget or
-    max_degree exhaustion yields status "lower_bound_only" with gonality
-    None and lower = 1 + the largest fully refuted degree. reductions
+    gonality - 1, the first opponent vertex that defeats it. Passing
+    ENUMERATION_CAP or max_degree yields status "lower_bound_only" with
+    gonality None and lower = 1 + the largest fully refuted degree. reductions
     counts the per-vertex winning tests run (vertices with d(v) >= 1 are
     skipped, so they do not count); it is deterministic.
     """
@@ -311,11 +314,7 @@ def _effective_divisors(n: int, degree: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, (*sums, degree), (0, *sums)))
 
 
-def exact_gonality(
-    g: Graph,
-    max_degree: int | None = None,
-    enumeration_cap: int = 10_000_000,
-) -> GonalityResult:
+def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
     """Least degree of a winning divisor, by plain exhaustive enumeration.
 
     Degrees are scanned upward; within a degree, divisors are tried in
@@ -334,7 +333,7 @@ def exact_gonality(
     last_losing: list[tuple[tuple[int, ...], int]] = []
     for k in range(max_degree + 1):
         count = comb(g.n + k - 1, k) if k else 1
-        if checked + count > enumeration_cap:
+        if checked + count > ENUMERATION_CAP:
             return GonalityResult(None, "lower_bound_only", None,
                                   tuple(last_losing), k, checked, reductions)
         losing: list[tuple[tuple[int, ...], int]] = []
@@ -363,8 +362,6 @@ def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:
     fam = g.family
     if fam is None or fam.kind not in GRID_KINDS:
         raise InvalidFamilyError("winning divisor generator needs a family graph")
-    if not family_matches(fam, g.n, g.edge_set):
-        raise InvalidFamilyError(f"the edges are not those of {fam.kind} {fam.m} {fam.n}")
     styles = {
         "stacked_prism": ("column_ones", "row_twos"),
         "toroidal_grid": ("row_twos", "column_twos"),

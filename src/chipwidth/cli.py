@@ -209,7 +209,7 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
             "hitting_set": [v + 1 for v in bits_list(oc.witness)],
             "classification": cls.verdict,
         },
-        proof=oc.proof,
+        proof="hitting_set_search",
         timing=elapsed,
     )
     _print_cert(cert, args.timing)
@@ -228,7 +228,7 @@ def _cmd_gon(args: argparse.Namespace) -> int:
             claim={"type": "winning_divisor", "graph": _label(g), "degree": d.degree},
             verdict="wins" if wins else "loses",
             witness={"failing_vertex": None if fail_v is None else fail_v + 1},
-            proof="q_reduction_check",
+            proof="dhar_burn",
             timing=elapsed,
         )
         _print_cert(cert, args.timing)

@@ -8,6 +8,12 @@ Grid-like families use a fixed labeling: the vertex in row i, column j gets
 id i*n + j, where m is the number of rows and n the number of columns. In a
 stacked prism (cycle x path) and a toroidal grid (cycle x cycle) a column
 induces an m-cycle; rows induce paths (prism) or n-cycles (torus).
+
+Family metadata is checked once, where a Graph is built: Graph refuses a
+path, cycle, grid, prism or torus label whose formula does not give its
+edges, and a product label whose factor orders do not multiply to its
+vertex count. Every reader of g.family (rows and columns, brambles, stock
+divisors, the claims table) can therefore trust it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ class GraphError(Exception):
 
 
 class InvalidFamilyError(GraphError):
-    """Family parameters out of range, or operation needs family metadata."""
+    """Family parameters out of range, metadata that does not fit the edges,
+    or an operation that needs family metadata."""
 
 
 class MissingEdgeError(GraphError):
@@ -34,7 +41,7 @@ class FormatError(GraphError):
 
 ELEMENTARY_KINDS = ("path", "cycle")
 GRID_KINDS = ("grid", "stacked_prism", "toroidal_grid")
-FAMILY_KINDS = ELEMENTARY_KINDS + GRID_KINDS + ("product", "other")
+FAMILY_KINDS = ELEMENTARY_KINDS + GRID_KINDS + ("product",)
 
 
 def bit(v: int) -> int:
@@ -64,8 +71,8 @@ def bits_list(mask: int) -> list[int]:
 class FamilyMeta:
     """Which named family a graph was built as, with its grid dimensions.
 
-    kind is one of path, cycle, grid, stacked_prism, toroidal_grid, product,
-    other. For grid-like kinds m counts rows and n counts columns; elementary
+    kind is one of path, cycle, grid, stacked_prism, toroidal_grid, product.
+    For grid-like kinds m counts rows and n counts columns; elementary
     kinds store their length as m with n = 1; product stores the two factor
     orders.
     """
@@ -82,9 +89,11 @@ class FamilyMeta:
 class Graph:
     """Immutable simple undirected graph with bitmask adjacency.
 
-    lossy_contraction is set when the graph was produced by an edge
-    contraction that collapsed parallel edges; chip-firing operations refuse
-    such graphs because multiplicities were discarded.
+    family, when given, must describe the edges (see the module docstring);
+    otherwise construction raises InvalidFamilyError. lossy_contraction is
+    set when the graph was produced by an edge contraction that collapsed
+    parallel edges; chip-firing operations refuse such graphs because
+    multiplicities were discarded.
     """
 
     __slots__ = ("n", "edges", "adj", "family", "lossy_contraction")
@@ -112,6 +121,15 @@ class Graph:
             seen.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        # the vertex count comes first, so a false label cannot force a huge
+        # rebuild; a product label records only its factor orders
+        if family is not None and (
+            family.m * family.n != n
+            or family.kind != "product" and set(_family_edges(family)) != seen
+        ):
+            raise InvalidFamilyError(
+                f"the edges are not those of {family.kind} {family.m} {family.n}"
+            )
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self.adj: tuple[int, ...] = tuple(adj)
@@ -176,19 +194,46 @@ def mask_connected(adj: Sequence[int], mask: int) -> bool:
     return seen == mask
 
 
+# kind -> (is the first factor a cycle, is the second a cycle); the first
+# factor has m vertices and the second n, and a path or a cycle has n = 1
+_FACTOR_CYCLES = {
+    "path": (False, False),
+    "cycle": (True, False),
+    "grid": (False, False),
+    "stacked_prism": (True, False),
+    "toroidal_grid": (True, True),
+}
+
+
+def _family_edges(fam: FamilyMeta) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, of the path, cycle, grid, prism or torus that
+    fam names, vertex (i, j) at i*n + j. Raises InvalidFamilyError on sizes
+    out of range: a cycle factor needs 3 vertices."""
+    m, n = fam.m, fam.n
+    first, second = _FACTOR_CYCLES[fam.kind]
+    low_m, low_n = (3 if first else 1), (3 if second else 1)
+    if fam.kind in ELEMENTARY_KINDS:
+        if m < low_m or n != 1:
+            raise InvalidFamilyError(f"{fam.kind} needs k >= {low_m} and n = 1, got {m}, {n}")
+    elif m < low_m or n < low_n:
+        raise InvalidFamilyError(
+            f"{fam.kind} needs m >= {low_m} and n >= {low_n}, got {m}, {n}"
+        )
+
+    def line(k: int, cycle: bool) -> list[tuple[int, int]]:
+        return [(a, a + 1) for a in range(k - 1)] + ([(0, k - 1)] if cycle else [])
+
+    edges = [(i * n + a, i * n + b) for i in range(m) for a, b in line(n, second)]
+    edges += [(a * n + j, c * n + j) for a, c in line(m, first) for j in range(n)]
+    return edges
+
+
 def make_elementary(kind: str, k: int) -> Graph:
     """Path on k >= 1 vertices or cycle on k >= 3 vertices."""
-    if kind == "path":
-        if k < 1:
-            raise InvalidFamilyError("path needs k >= 1")
-        edges = [(i, i + 1) for i in range(k - 1)]
-    elif kind == "cycle":
-        if k < 3:
-            raise InvalidFamilyError("cycle needs k >= 3")
-        edges = [(i, (i + 1) % k) for i in range(k)]
-    else:
+    if kind not in ELEMENTARY_KINDS:
         raise InvalidFamilyError(f"elementary kind must be path or cycle, got {kind!r}")
-    return Graph(k, edges, FamilyMeta(kind, k, 1))
+    fam = FamilyMeta(kind, k, 1)
+    return Graph(k, _family_edges(fam), fam)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -212,21 +257,10 @@ def make_family(kind: str, m: int, n: int) -> Graph:
     Rows are copies of the second factor: vertex (i, j) -> i*n + j with
     0 <= i < m, 0 <= j < n.
     """
-    if kind == "grid":
-        if m < 1 or n < 1:
-            raise InvalidFamilyError("grid needs m, n >= 1")
-        g = cartesian_product(make_elementary("path", m), make_elementary("path", n))
-    elif kind == "stacked_prism":
-        if m < 3 or n < 1:
-            raise InvalidFamilyError("stacked prism needs m >= 3 and n >= 1")
-        g = cartesian_product(make_elementary("cycle", m), make_elementary("path", n))
-    elif kind == "toroidal_grid":
-        if m < 3 or n < 3:
-            raise InvalidFamilyError("toroidal grid needs m, n >= 3")
-        g = cartesian_product(make_elementary("cycle", m), make_elementary("cycle", n))
-    else:
+    if kind not in GRID_KINDS:
         raise InvalidFamilyError(f"family kind must be one of {GRID_KINDS}, got {kind!r}")
-    return Graph(g.n, g.edges, FamilyMeta(kind, m, n))
+    fam = FamilyMeta(kind, m, n)
+    return Graph(m * n, _family_edges(fam), fam)
 
 
 def line_vertices(g: Graph, which: str, index: int) -> int:
@@ -530,37 +564,13 @@ def read_gr(text: str) -> Graph:
         raise FormatError("parallel edge in input")
     if len(edges) != declared_edges:
         raise FormatError(f"declared {declared_edges} edges, found {len(edges)}")
-    if family is not None and not family_matches(family, n, edge_set):
-        family = None
-    g = Graph(n, edges, family)
+    try:
+        g = Graph(n, edges, family)
+    except InvalidFamilyError:
+        g = Graph(n, edges)  # a family comment that does not fit the edges is dropped
     if not g.is_connected():
         raise FormatError("graph is not connected")
     return g
-
-
-def family_matches(fam: FamilyMeta, n: int, edge_set: set[tuple[int, int]]) -> bool:
-    """Do n vertices and these edges rebuild the family fam names?
-
-    The claims table and the row/column, bramble and divisor code read grid
-    and elementary dimensions, so those kinds must rebuild to the edges
-    given; checking the count first keeps lying metadata from forcing a
-    huge rebuild.
-    """
-    if fam.kind == "other":
-        return True
-    if fam.kind == "product":
-        return fam.m * fam.n == n
-    elementary = fam.kind in ELEMENTARY_KINDS
-    if (fam.m if elementary else fam.m * fam.n) != n:
-        return False
-    try:
-        if elementary:
-            ref = make_elementary(fam.kind, fam.m)
-        else:
-            ref = make_family(fam.kind, fam.m, fam.n)
-    except InvalidFamilyError:
-        return False
-    return ref.edge_set == edge_set
 
 
 def read_gr_file(path) -> Graph:

@@ -171,6 +171,8 @@ def test_criterion_4_bramble_decomposition_duality():
         strict = classify_family(g, b.elements).verdict == "strict_bramble"
         _check(failures, order - 1 <= res.treewidth,
                f"{label}: order {order} - 1 exceeds tw {res.treewidth}")
+        # an observation on these fixtures, not duality: a strict bramble
+        # can reach order tw + 1 (STRICT_OVERSHOOT in test_treewidth.py)
         if strict:
             _check(failures, order <= res.treewidth,
                    f"{label}: strict order {order} exceeds tw {res.treewidth}")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipwidth import chipfiring
 from chipwidth.chipfiring import (
     ChipFiringError,
     Divisor,
@@ -155,8 +156,9 @@ def test_gonality_prism_with_losing_proof():
     assert not is_winning_divisor(y, Divisor(chips))[0]
 
 
-def test_gonality_budget_degrades_to_lower_bound():
-    res = exact_gonality(C4, enumeration_cap=3)
+def test_gonality_budget_degrades_to_lower_bound(monkeypatch):
+    monkeypatch.setattr(chipfiring, "ENUMERATION_CAP", 3)
+    res = exact_gonality(C4)
     assert res.status == "lower_bound_only" and res.gonality is None
     assert res.lower == 1
 

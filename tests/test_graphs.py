@@ -33,6 +33,7 @@ from chipwidth.graphs import (
     row_collapse_minor,
     write_gr,
 )
+from chipwidth.graphs import _family_edges
 from chipwidth.treewidth import exact_treewidth
 
 
@@ -106,13 +107,35 @@ def test_family_rejects_bad_sizes():
 
 
 def test_product_matches_family_generators():
-    cp = cartesian_product(make_elementary("cycle", 5), make_elementary("path", 3))
-    assert cp.edge_set == prism(5, 3).edge_set
-    assert cp.family is not None and cp.family.kind == "product"
-    ct = cartesian_product(make_elementary("cycle", 4), make_elementary("cycle", 3))
-    assert ct.edge_set == torus(4, 3).edge_set
-    gg = cartesian_product(make_elementary("path", 3), make_elementary("path", 4))
-    assert gg.edge_set == grid(3, 4).edge_set
+    # the family formulas against the product of their factors, for every
+    # grid, prism and torus of at most 20 vertices
+    factors = {"grid": ("path", "path"), "stacked_prism": ("cycle", "path"),
+               "toroidal_grid": ("cycle", "cycle")}
+    count = 0
+    for kind, (first, second) in factors.items():
+        for m in range(3 if first == "cycle" else 1, 21):
+            for n in range(3 if second == "cycle" else 1, 20 // m + 1):
+                cp = cartesian_product(make_elementary(first, m), make_elementary(second, n))
+                assert cp.family == FamilyMeta("product", m, n)
+                fam = FamilyMeta(kind, m, n)
+                assert set(_family_edges(fam)) == cp.edge_set, fam
+                assert make_family(kind, m, n).edge_set == cp.edge_set
+                count += 1
+    assert count == 66 + 36 + 10
+
+
+def test_graph_refuses_family_metadata_that_does_not_fit():
+    t = torus(4, 3)
+    perm = list(range(1, 12)) + [0]
+    with pytest.raises(InvalidFamilyError, match="not those of toroidal_grid 4 3"):
+        Graph(12, t.relabeled(perm).edges, t.family)
+    c5 = make_elementary("cycle", 5)
+    with pytest.raises(InvalidFamilyError, match="not those of path 5 1"):
+        Graph(5, c5.edges, FamilyMeta("path", 5, 1))
+    with pytest.raises(InvalidFamilyError, match="not those of product 5 3"):
+        Graph(16, [(v, v + 1) for v in range(15)], FamilyMeta("product", 5, 3))
+    # the label that fits is kept
+    assert Graph(5, c5.edges, FamilyMeta("cycle", 5, 1)).family == c5.family
 
 
 def test_graph_constructor_rejects_loops():
