@@ -11,8 +11,7 @@ induces an m-cycle; rows induce paths (prism) or n-cycles (torus).
 
 Family metadata is checked once, where a Graph is built: Graph refuses a
 path, cycle, grid, prism or torus label whose formula does not give its
-edges, and a product label whose factor orders do not multiply to its
-vertex count. Every reader of g.family (rows and columns, brambles, stock
+edges. Every reader of g.family (rows and columns, brambles, stock
 divisors, the claims table) can therefore trust it.
 """
 
@@ -41,7 +40,7 @@ class FormatError(GraphError):
 
 ELEMENTARY_KINDS = ("path", "cycle")
 GRID_KINDS = ("grid", "stacked_prism", "toroidal_grid")
-FAMILY_KINDS = ELEMENTARY_KINDS + GRID_KINDS + ("product",)
+FAMILY_KINDS = ELEMENTARY_KINDS + GRID_KINDS
 
 
 def bit(v: int) -> int:
@@ -71,10 +70,9 @@ def bits_list(mask: int) -> list[int]:
 class FamilyMeta:
     """Which named family a graph was built as, with its grid dimensions.
 
-    kind is one of path, cycle, grid, stacked_prism, toroidal_grid, product.
-    For grid-like kinds m counts rows and n counts columns; elementary
-    kinds store their length as m with n = 1; product stores the two factor
-    orders.
+    kind is one of path, cycle, grid, stacked_prism, toroidal_grid. For
+    grid-like kinds m counts rows and n counts columns; elementary kinds
+    store their length as m with n = 1.
     """
 
     kind: str
@@ -122,10 +120,9 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         # the vertex count comes first, so a false label cannot force a huge
-        # rebuild; a product label records only its factor orders
+        # rebuild
         if family is not None and (
-            family.m * family.n != n
-            or family.kind != "product" and set(_family_edges(family)) != seen
+            family.m * family.n != n or set(_family_edges(family)) != seen
         ):
             raise InvalidFamilyError(
                 f"the edges are not those of {family.kind} {family.m} {family.n}"
@@ -237,7 +234,8 @@ def make_elementary(kind: str, k: int) -> Graph:
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product; vertex (a, b) of g x h gets id a*|V(h)| + b."""
+    """Cartesian product; vertex (a, b) of g x h gets id a*|V(h)| + b.
+    The result carries no family metadata."""
     nh = h.n
     edges: list[tuple[int, int]] = []
     for a in range(g.n):
@@ -247,8 +245,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for a, c in g.edges:
         for b in range(nh):
             edges.append((a * nh + b, c * nh + b))
-    fam = FamilyMeta("product", g.n, h.n)
-    return Graph(g.n * nh, edges, fam, g.lossy_contraction or h.lossy_contraction)
+    return Graph(g.n * nh, edges, None, g.lossy_contraction or h.lossy_contraction)
 
 
 def make_family(kind: str, m: int, n: int) -> Graph:
@@ -261,6 +258,18 @@ def make_family(kind: str, m: int, n: int) -> Graph:
         raise InvalidFamilyError(f"family kind must be one of {GRID_KINDS}, got {kind!r}")
     fam = FamilyMeta(kind, m, n)
     return Graph(m * n, _family_edges(fam), fam)
+
+
+def family_graphs(max_vertices: int) -> Iterator[Graph]:
+    """Every grid, prism and torus of at most max_vertices vertices, by rows
+    m, then columns n, then kind in the order grid, prism, torus."""
+    for m in range(1, max_vertices + 1):
+        for n in range(1, max_vertices // m + 1):
+            yield make_family("grid", m, n)
+            if m >= 3:
+                yield make_family("stacked_prism", m, n)
+            if m >= 3 and n >= 3:
+                yield make_family("toroidal_grid", m, n)
 
 
 def line_vertices(g: Graph, which: str, index: int) -> int:

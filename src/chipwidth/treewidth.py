@@ -471,7 +471,10 @@ def exact_treewidth(
     and min_hitting_set, and a bramble of order w proves tw >= w - 1
     (Seymour and Thomas, 1993); the search starts at that bound. A witness
     over another graph, or a family that is not a bramble, raises
-    BrambleError.
+    BrambleError. The check runs before the search and outside limits: no
+    state cap or time budget bounds it, and on a large witness it can take
+    longer than the search (the 82,656 torus_cde elements on T8,4 take 35 to
+    40 s on one core of a shared 2-core machine).
     """
     if not g.is_connected():
         raise ValueError("treewidth solver expects a connected graph")
@@ -548,7 +551,7 @@ def covering_bag(td: TreeDecomposition, bramble) -> CoveringBag:
     raise RuntimeError("no bag meets every element; the family is not a bramble")
 
 
-# --- family claims and bounds report ------------------------------------------
+# --- family claims ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -598,62 +601,6 @@ def family_bramble(g: Graph) -> Bramble | None:
     """The claims table's lower-bound bramble on g, or None where it has none."""
     gen = family_claims(g).witness
     return None if gen is None else gen(g)
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Predicted and computed treewidth information for a family graph."""
-
-    kind: str
-    m: int
-    n: int
-    predicted_low: int
-    predicted_high: int
-    note: str
-    bramble_label: str | None
-    witness_lower: int
-    exact: int | None
-    lower: int
-    upper: int
-
-    @property
-    def predicted_exact(self) -> bool:
-        return self.predicted_low == self.predicted_high
-
-
-def treewidth_bounds_report(g: Graph, limits: SolverLimits | None = None) -> BoundsReport:
-    """Cross-check the family width formulas against computed certificates.
-
-    The predicted interval and the witness bramble come from family_claims;
-    the open lines (prism m = 2n, torus |m - n| <= 1) get a two-value
-    interval and a note. Computed bounds that miss the predicted range
-    raise RuntimeError: that would mean either a solver bug or a false
-    formula, and must not pass silently.
-    """
-    claims = family_claims(g)
-    fam = g.family
-    b = family_bramble(g)
-    result = exact_treewidth(g, limits, b)
-    lower = max(claims.low, result.lower)
-    upper = min(claims.high, result.upper)
-    if lower > upper:
-        raise RuntimeError(
-            f"computed bounds [{result.lower}, {result.upper}] contradict predicted "
-            f"range [{claims.low}, {claims.high}] for {fam.kind}({fam.m},{fam.n})"
-        )
-    return BoundsReport(
-        kind=fam.kind,
-        m=fam.m,
-        n=fam.n,
-        predicted_low=claims.low,
-        predicted_high=claims.high,
-        note=claims.note,
-        bramble_label=None if b is None else b.label,
-        witness_lower=result.witness_lower,
-        exact=result.treewidth if result.proof_status == "exact" else None,
-        lower=lower,
-        upper=upper,
-    )
 
 
 # --- .td file format --------------------------------------------------------

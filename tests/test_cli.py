@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
-from chipwidth.cli import main
-from chipwidth.graphs import Graph, write_gr
+import chipwidth.cli as cli
+from chipwidth.cli import _interval_verdict, main
+from chipwidth.graphs import FamilyMeta, Graph, write_gr
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -75,8 +77,8 @@ def test_tw_deterministic_bytes(tmp_path, capsys):
     _, first, _ = run(capsys, "tw", str(gr))
     _, second, _ = run(capsys, "tw", str(gr))
     assert first == second
-    _, seeded, _ = run(capsys, "--seed", "99", "tw", str(gr))
-    assert seeded == first  # --seed is accepted and ignored
+    # nothing is random, so there is no --seed to accept
+    assert run(capsys, "--seed", "99", "tw", str(gr))[0] == 2
 
 
 def test_tw_timing_flag(tmp_path, capsys):
@@ -234,37 +236,77 @@ def test_usage_errors(capsys):
 # --- reproduce ---------------------------------------------------------------------
 
 
+def test_interval_verdict():
+    assert _interval_verdict(5, 5, 5, 6) == "match"  # exact, inside the claim
+    assert _interval_verdict(4, 4, 5, 6) == "mismatch"  # exact, outside it
+    assert _interval_verdict(6, 8, 5, 6) == "within_interval"  # bounds that overlap
+    assert _interval_verdict(7, 8, 5, 6) == "mismatch"  # bounds that are disjoint
+    # a point claim keeps the old verdicts: exact equal, or inside the bounds
+    assert _interval_verdict(8, 8, 8, 8) == "match"
+    assert _interval_verdict(6, 8, 8, 8) == "within_interval"
+
+
 def test_reproduce_small_scope_all_match(capsys):
     code, out, _ = run(capsys, "reproduce", "--max-vertices", "12")
     assert code == 0
-    assert "tw(T4,3) claimed 5 computed 5 match (computed benchmark)" in out
+    assert "tw(T4,3) claimed [5,6] computed 5 match (open line)" in out
+    assert "tw(G3,3) claimed 3 computed 3 match (width formula)" in out
+    assert "winning(T4,3) claimed wins computed wins match (divisor construction)" in out
     assert "gon(Y4,2) claimed 4 computed 4 match" in out
     summary = out.strip().splitlines()[-1]
-    assert summary.startswith("rows 20 ") and " mismatch 0 " in summary
+    assert summary == "rows 82 match 79 within_interval 0 mismatch 0 skipped_size 3"
 
 
 def test_reproduce_default_scope_flags_known_shortfall(capsys):
+    # one width row per family graph up to 20 vertices, a winning row per
+    # stock style, and the seven order and gonality rows
     code, out, _ = run(capsys, "reproduce")
     assert code == 0
-    assert "tw(T4,3) claimed 5 computed 5 match" in out
-    assert "tw(T5,4) claimed 8 computed 8 match" in out
+    lines = out.strip().splitlines()
+    assert sum(l.startswith("tw(") for l in lines) == 112
+    assert sum(l.startswith("winning(") for l in lines) == 46
+    assert "tw(Y4,2) claimed [3,4] computed 3 match (open line)" in out
+    assert "tw(T5,4) claimed [7,8] computed 8 match (open line)" in out
+    assert "tw(T5,3) claimed 6 computed 6 match (width formula)" in out
     assert "order(torus_balanced@T5,3) claimed 6 computed 6 match" in out
-    assert "tw(Y8,4) claimed 8 computed - skipped_budget" in out
-    summary = out.strip().splitlines()[-1]
-    assert " mismatch 0 " in summary
+    assert "order(prism_b1@Y7,3) claimed 6 computed - skipped_size" in out
+    assert lines[-1] == "rows 165 match 164 within_interval 0 mismatch 0 skipped_size 1"
+
+
+def test_reproduce_flags_a_false_formula(capsys, monkeypatch):
+    # G3,3 has treewidth 3; a table claiming 4 must show, not pass silently
+    true_claims = cli.family_claims
+
+    def false_claims(g):
+        claims = true_claims(g)
+        if g.family == FamilyMeta("grid", 3, 3):
+            return dataclasses.replace(claims, low=4, high=4)
+        return claims
+
+    monkeypatch.setattr(cli, "family_claims", false_claims)
+    code, out, _ = run(capsys, "reproduce", "--max-vertices", "9")
+    assert code == 1
+    assert "tw(G3,3) claimed 4 computed 3 mismatch (width formula)" in out
+    assert out.strip().splitlines()[-1].endswith(" mismatch 1 skipped_size 5")
 
 
 def test_reproduce_budget_is_per_row(capsys):
-    # a short budget caps each treewidth row; no row is skipped for time
-    code, out, _ = run(capsys, "reproduce", "--max-vertices", "32", "--budget-ms", "500")
+    # a short budget caps each treewidth search; no row is skipped for time.
+    # Y6,3 takes 1,789 states, about 65 ms, to settle width 6 from its
+    # witness bound 4
+    code, out, _ = run(capsys, "reproduce", "--budget-ms", "1")
     assert code == 0
-    assert "tw(Y8,4) claimed 8 computed [" in out
+    assert "tw(Y6,3) claimed [5,6] computed [" in out
     summary = out.strip().splitlines()[-1]
-    assert summary.startswith("rows 20 ") and summary.endswith(" skipped_budget 0")
+    assert summary.startswith("rows 165 ") and summary.endswith(" mismatch 0 skipped_size 1")
+    assert " within_interval 0 " not in summary
 
 
 def test_reproduce_rows_never_dropped(capsys):
+    # the sweep stops at the scope; the literal rows above it stay, skipped
     _, out, _ = run(capsys, "reproduce", "--max-vertices", "4")
-    lines = [l for l in out.strip().splitlines() if not l.startswith("rows ")]
-    assert len(lines) == 20
-    assert all(" skipped_budget " in l for l in lines)
+    lines = out.strip().splitlines()
+    assert lines[-1] == "rows 19 match 12 within_interval 0 mismatch 0 skipped_size 7"
+    assert all(" match " in l for l in lines[:12])
+    assert all(" skipped_size " in l for l in lines[12:19])
+    assert lines[12].startswith("order(grid@G3,4) ") and lines[18].startswith("gon(T3,3) ")

@@ -25,6 +25,7 @@ from chipwidth.graphs import (
     automorphism_group,
     bits_list,
     cartesian_product,
+    family_graphs,
     line_vertices,
     make_elementary,
     make_family,
@@ -108,20 +109,23 @@ def test_family_rejects_bad_sizes():
 
 def test_product_matches_family_generators():
     # the family formulas against the product of their factors, for every
-    # grid, prism and torus of at most 20 vertices
+    # grid, prism and torus of at most 20 vertices, which family_graphs
+    # enumerates once each
     factors = {"grid": ("path", "path"), "stacked_prism": ("cycle", "path"),
                "toroidal_grid": ("cycle", "cycle")}
-    count = 0
+    fams = []
     for kind, (first, second) in factors.items():
         for m in range(3 if first == "cycle" else 1, 21):
             for n in range(3 if second == "cycle" else 1, 20 // m + 1):
                 cp = cartesian_product(make_elementary(first, m), make_elementary(second, n))
-                assert cp.family == FamilyMeta("product", m, n)
+                assert cp.family is None
                 fam = FamilyMeta(kind, m, n)
                 assert set(_family_edges(fam)) == cp.edge_set, fam
                 assert make_family(kind, m, n).edge_set == cp.edge_set
-                count += 1
-    assert count == 66 + 36 + 10
+                fams.append(fam)
+    assert len(fams) == 66 + 36 + 10
+    swept = [g.family for g in family_graphs(20)]
+    assert len(swept) == len(fams) and set(swept) == set(fams)
 
 
 def test_graph_refuses_family_metadata_that_does_not_fit():
@@ -132,8 +136,6 @@ def test_graph_refuses_family_metadata_that_does_not_fit():
     c5 = make_elementary("cycle", 5)
     with pytest.raises(InvalidFamilyError, match="not those of path 5 1"):
         Graph(5, c5.edges, FamilyMeta("path", 5, 1))
-    with pytest.raises(InvalidFamilyError, match="not those of product 5 3"):
-        Graph(16, [(v, v + 1) for v in range(15)], FamilyMeta("product", 5, 3))
     # the label that fits is kept
     assert Graph(5, c5.edges, FamilyMeta("cycle", 5, 1)).family == c5.family
 
@@ -326,16 +328,6 @@ def test_automorphism_group_matches_networkx(g):
     assert_group_is_aut(g)
 
 
-def family_graphs(max_vertices: int):
-    for m in range(1, max_vertices + 1):
-        for n in range(1, max_vertices // m + 1):
-            yield grid(m, n)
-            if m >= 3:
-                yield prism(m, n)
-            if m >= 3 and n >= 3:
-                yield torus(m, n)
-
-
 def test_automorphism_group_of_family_graphs():
     rng = random.Random(13)
     for g in family_graphs(20):
@@ -415,6 +407,9 @@ def test_gr_drops_family_comment_that_does_not_match_edges(tmp_path, capsys):
     assert read_gr("c family toroidal_grid 4 3\n" + write_gr(relabelled)).family is None
     assert read_gr(write_gr(t)).family == FamilyMeta("toroidal_grid", 4, 3)
     assert read_gr("c family cycle 5 1\np tw 5 4\n1 2\n2 3\n3 4\n4 5\n").family is None
+    # there is no product kind, so its comment is ignored
+    path12 = Graph(12, [(v, v + 1) for v in range(11)])
+    assert read_gr("c family product 3 4\n" + write_gr(path12)).family is None
 
 
 def test_gr_rejections():

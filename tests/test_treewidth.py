@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -32,6 +31,7 @@ from chipwidth.graphs import (
     Graph,
     InvalidFamilyError,
     automorphism_group,
+    family_graphs,
     iter_bits,
     make_elementary,
     make_family,
@@ -53,7 +53,6 @@ from chipwidth.treewidth import (
     family_claims,
     min_fill_order,
     read_td,
-    treewidth_bounds_report,
     validate_tree_decomposition,
     write_td,
 )
@@ -454,16 +453,6 @@ def test_search_pinned_on_relabeled_family_graph():
 # --- symmetry of the family graphs -------------------------------------------------
 
 
-def family_graphs(max_vertices: int):
-    for m in range(1, max_vertices + 1):
-        for n in range(1, max_vertices // m + 1):
-            yield make_family("grid", m, n)
-            if m >= 3:
-                yield make_family("stacked_prism", m, n)
-            if m >= 3 and n >= 3:
-                yield make_family("toroidal_grid", m, n)
-
-
 def test_orbit_roots_are_the_family_representatives():
     # one first move per orbit: a torus is vertex transitive, a prism has
     # one per column pair j, n-1-j, and a grid one per row and column pair,
@@ -573,7 +562,7 @@ def test_covering_bag_torus():
     assert hit.bag.bit_count() >= min_hitting_set(b).order
 
 
-# --- family claims and bounds report ---------------------------------------------
+# --- family claims and their witnesses --------------------------------------------
 
 
 # one graph per row of the claims table: interval, witness generator, style
@@ -605,11 +594,12 @@ def test_family_claims_hold_on_small_family_graphs():
     # claimed interval, the witness is checked below it, and the stock
     # divisor wins
     for g in family_graphs(20):
-        r = treewidth_bounds_report(g)
-        assert r.exact is not None and r.witness_lower <= r.exact, g
-        style = family_claims(g).style
-        if style is not None:
-            assert is_winning_divisor(g, gen_winning_divisor(g, style))[0], g
+        claims = family_claims(g)
+        res = exact_treewidth(g, witness=family_bramble(g))
+        assert res.proof_status == "exact", g
+        assert res.witness_lower <= claims.low <= res.treewidth <= claims.high, g
+        if claims.style is not None:
+            assert is_winning_divisor(g, gen_winning_divisor(g, claims.style))[0], g
 
 
 def test_family_claims_refuse_unverified_metadata():
@@ -620,58 +610,54 @@ def test_family_claims_refuse_unverified_metadata():
         Graph(12, FALSE_TORUS, FamilyMeta("toroidal_grid", 4, 3))
     g = Graph(12, FALSE_TORUS)
     winning = partial(gen_winning_divisor, style="row_twos")
-    for call in (family_claims, family_bramble, treewidth_bounds_report, gen_torus_fg, winning):
+    for call in (family_claims, family_bramble, gen_torus_fg, winning):
         with pytest.raises(InvalidFamilyError):
             call(g)
     with pytest.raises(InvalidFamilyError):
         family_claims(make_elementary("cycle", 5))
 
 
-def test_bounds_report_refuses_a_false_formula(monkeypatch):
-    # G3,3 has treewidth 3; a table claiming 4 must not pass silently
-    import chipwidth.treewidth as tw
-
-    true_claims = tw.family_claims
-    monkeypatch.setattr(tw, "family_claims",
-                        lambda g: dataclasses.replace(true_claims(g), low=4, high=4))
-    with pytest.raises(RuntimeError, match=r"\[3, 3\] contradict predicted range \[4, 4\]"):
-        tw.treewidth_bounds_report(make_family("grid", 3, 3))
-
-
-def test_bounds_report_grid_and_prism():
+def test_family_witness_grid_and_prism():
     g = make_family("grid", 3, 4)
-    r = treewidth_bounds_report(g)
-    assert (r.predicted_low, r.predicted_high, r.exact) == (3, 3, 3)
-    assert r.bramble_label == "grid_b" and r.witness_lower == 2
-    assert min_hitting_set(family_bramble(g)).order == 3
-    r = treewidth_bounds_report(make_family("stacked_prism", 7, 2))
-    assert (r.predicted_low, r.predicted_high, r.exact) == (4, 4, 4)
+    claims, b = family_claims(g), family_bramble(g)
+    res = exact_treewidth(g, witness=b)
+    assert (claims.low, claims.high, res.treewidth) == (3, 3, 3)
+    assert b.label == "grid_b" and res.witness_lower == 2
+    assert min_hitting_set(b).order == 3
+    g = make_family("stacked_prism", 7, 2)
+    claims = family_claims(g)
+    res = exact_treewidth(g, witness=family_bramble(g))
+    assert (claims.low, claims.high, res.proof_status, res.treewidth) == (4, 4, "exact", 4)
 
 
-def test_bounds_report_open_interval_prism():
+def test_family_witness_open_interval_prism():
     g = make_family("stacked_prism", 4, 2)
-    r = treewidth_bounds_report(g)
-    assert (r.predicted_low, r.predicted_high) == (3, 4)
-    assert not r.predicted_exact and "open" in r.note
-    assert r.bramble_label == "prism_collapsed" and r.witness_lower == 2
-    assert min_hitting_set(family_bramble(g)).order == 3
-    assert r.predicted_low <= r.exact <= r.predicted_high
+    claims, b = family_claims(g), family_bramble(g)
+    res = exact_treewidth(g, witness=b)
+    assert (claims.low, claims.high) == (3, 4) and "open" in claims.note
+    assert b.label == "prism_collapsed" and res.witness_lower == 2
+    assert min_hitting_set(b).order == 3
+    assert res.proof_status == "exact" and claims.low <= res.treewidth <= claims.high
 
 
-def test_bounds_report_square_torus():
-    r = treewidth_bounds_report(make_family("toroidal_grid", 4, 4))
-    assert (r.predicted_low, r.predicted_high) == (6, 7)
-    assert r.exact == 6 and "open" in r.note
+def test_family_witness_square_torus():
+    g = make_family("toroidal_grid", 4, 4)
+    claims = family_claims(g)
+    assert (claims.low, claims.high) == (6, 7) and "open" in claims.note
+    assert family_bramble(g) is None
+    res = exact_treewidth(g)
+    assert (res.proof_status, res.treewidth) == ("exact", 6)
 
 
-def test_bounds_report_torus_margin_two():
+def test_family_witness_torus_margin_two():
     # the stock four-piece torus family tops out at order 5 on this instance,
     # one short of the predicted width; the exact solver still lands inside
     g = make_family("toroidal_grid", 5, 3)
-    r = treewidth_bounds_report(g)
-    assert (r.predicted_low, r.predicted_high, r.exact) == (6, 6, 6)
-    assert r.bramble_label == "torus_cde" and r.witness_lower == 4
-    assert min_hitting_set(family_bramble(g)).order == 5
+    claims, b = family_claims(g), family_bramble(g)
+    res = exact_treewidth(g, witness=b)
+    assert (claims.low, claims.high, res.proof_status, res.treewidth) == (6, 6, "exact", 6)
+    assert b.label == "torus_cde" and res.witness_lower == 4
+    assert min_hitting_set(b).order == 5
 
 
 # --- .td format ----------------------------------------------------------------------
