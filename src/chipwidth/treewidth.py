@@ -24,8 +24,10 @@ is the one the search finds without symmetry. It runs under a state cap
 and a wall-clock budget (60 s by default) and reports bounds when either
 runs out.
 
-A lower bound enters the search one way: a witness bramble, checked on the
-graph itself, whose order minus one is where the search starts.
+A lower bound enters the search from two sources, and the search starts at
+the larger: a minor, contraction_degeneracy, whose minimum degree bounds
+the width of every graph it is a minor of; and a witness bramble, checked on
+the graph itself, whose order minus one bounds the width.
 family_claims is the one table of the grid, prism and torus formulas.
 """
 
@@ -121,9 +123,11 @@ class SolverLimits:
 class WidthResult:
     """Solver outcome. treewidth always equals width(decomposition); it is
     the exact treewidth precisely when proof_status == "exact".
-    witness_lower is the bound the checked witness bramble proved, 0 when
-    none was given. group_order is the order of the automorphism group the
-    search used, 1 when g's group is larger than MAX_GROUP_ORDER."""
+    minor_lower is contraction_degeneracy(g), the bound a minor proves, and
+    witness_lower the bound the checked witness bramble proved, 0 when none
+    was given; the search starts at the larger of the two. group_order is
+    the order of the automorphism group the search used, 1 when g's group
+    is larger than MAX_GROUP_ORDER."""
 
     treewidth: int
     decomposition: TreeDecomposition
@@ -132,6 +136,7 @@ class WidthResult:
     upper: int
     states: int
     elapsed: float
+    minor_lower: int
     witness_lower: int
     group_order: int
 
@@ -248,7 +253,10 @@ def decomposition_from_elimination_order(g: Graph, order: Sequence[int]) -> Tree
 
 
 def degeneracy(g: Graph) -> int:
-    """Max over subgraphs of the minimum degree; a treewidth lower bound."""
+    """Max over subgraphs of the minimum degree; a treewidth lower bound.
+
+    exact_treewidth starts from contraction_degeneracy, which is never
+    below it."""
     adj = list(g.adj)
     remaining = g.full_mask
     best = 0
@@ -259,6 +267,42 @@ def degeneracy(g: Graph) -> int:
         )
         best = max(best, (adj[v] & remaining).bit_count())
         remaining &= ~(1 << v)
+    return best
+
+
+def contraction_degeneracy(g: Graph) -> int:
+    """Max over a sequence of minors of the minimum degree; a treewidth
+    lower bound, since tw(G) >= tw(H) >= mindeg(H) for every minor H.
+
+    The sequence is minor-min-width with the least-c rule (Gogate and
+    Dechter, 2004; Bodlaender and Koster, 2011): a vertex v of minimum
+    degree, ties to the lowest id, is contracted into the neighbour it
+    shares the fewest common neighbours with, ties to the lowest id.
+
+    The bound is at least 1 when g has an edge: contracting keeps an edge
+    until two vertices are left, a K2 of minimum degree 1. It is at least
+    degeneracy(g): with v of minimum degree d, degeneracy(G) is
+    max(d, degeneracy(G - v)), and G - v is a subgraph of G/uv, so by
+    induction on the number of vertices the bound on G/uv is at least
+    degeneracy(G - v).
+    """
+    adj = list(g.adj)
+    remaining = g.full_mask
+    best = 0
+    while remaining:
+        v = min(iter_bits(remaining), key=lambda u: (adj[u].bit_count(), u))
+        nv = adj[v]
+        best = max(best, nv.bit_count())
+        remaining &= ~(1 << v)
+        if not nv:
+            continue
+        u = min(iter_bits(nv), key=lambda w: ((adj[w] & nv).bit_count(), w))
+        for w in iter_bits(nv):
+            adj[w] &= ~(1 << v)
+        merged = nv & ~(1 << u)
+        adj[u] |= merged
+        for w in iter_bits(merged):
+            adj[w] |= 1 << u
     return best
 
 
@@ -469,7 +513,8 @@ def exact_treewidth(
 
     witness is a bramble on g. It is checked on g itself, by classify_family
     and min_hitting_set, and a bramble of order w proves tw >= w - 1
-    (Seymour and Thomas, 1993); the search starts at that bound. A witness
+    (Seymour and Thomas, 1993). The search starts at the larger of that
+    bound and contraction_degeneracy(g), the bound a minor proves. A witness
     over another graph, or a family that is not a bramble, raises
     BrambleError. The check runs before the search and outside limits: no
     state cap or time budget bounds it, and on a large witness it can take
@@ -484,7 +529,8 @@ def exact_treewidth(
     budget = _Budget(limits.max_states, limits.time_budget)
 
     mf_order, mf_width = min_fill_order(g)
-    lower = max(degeneracy(g), 1 if g.num_edges else 0, witness_lower)
+    minor_lower = contraction_degeneracy(g)
+    lower = max(minor_lower, witness_lower)
     upper = mf_width
     best_order = mf_order
     group = automorphism_group(g)
@@ -512,6 +558,7 @@ def exact_treewidth(
         upper=upper,
         states=budget.states,
         elapsed=time.monotonic() - t0,
+        minor_lower=minor_lower,
         witness_lower=witness_lower,
         group_order=len(group),
     )

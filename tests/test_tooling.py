@@ -1,0 +1,22 @@
+"""The benchmark tracer wraps package functions by name; each must exist."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def test_traced_functions_exist():
+    # perfbench/run.py --trace 1 fails on a name its tracer cannot find, so
+    # deleting or renaming a traced function must fail here first
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module_name, functions in spans.TRACED.items():
+        module = importlib.import_module(f"chipwidth.{module_name}")
+        for fname in functions:
+            assert callable(getattr(module, fname, None)), f"{module_name}.{fname}"

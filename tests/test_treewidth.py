@@ -45,6 +45,7 @@ from chipwidth.treewidth import (
     _Budget,
     _decide_width,
     _orbit_roots,
+    contraction_degeneracy,
     covering_bag,
     decomposition_from_elimination_order,
     degeneracy,
@@ -130,6 +131,19 @@ def test_degeneracy_values():
     assert degeneracy(k4) == 3
 
 
+def test_contraction_degeneracy_values():
+    # the minor bound reaches the width where degeneracy falls short
+    for kind, m, n, want in (("grid", 5, 4, 4),
+                             ("toroidal_grid", 4, 4, 6),
+                             ("toroidal_grid", 6, 3, 5),
+                             ("stacked_prism", 6, 3, 4),
+                             ("stacked_prism", 8, 4, 4)):
+        assert contraction_degeneracy(make_family(kind, m, n)) == want, (kind, m, n)
+    assert contraction_degeneracy(make_elementary("path", 1)) == 0
+    assert contraction_degeneracy(make_elementary("path", 2)) == 1
+    assert contraction_degeneracy(make_elementary("cycle", 7)) == 2
+
+
 def test_min_fill_upper_bound():
     order, width = min_fill_order(make_elementary("path", 4))
     assert width == 1 and sorted(order) == [0, 1, 2, 3]
@@ -150,12 +164,17 @@ def test_exact_small_graphs():
 
 
 def test_exact_result_invariants():
+    # the minor bound meets the min-fill width on G3,3, so no search runs
     res = exact_treewidth(make_family("grid", 3, 3))
     assert res.treewidth == 3
     assert res.proof_status == "exact" and res.lower == res.upper == 3
     assert res.decomposition.width == 3
     assert validate_tree_decomposition(make_family("grid", 3, 3), res.decomposition).valid
-    assert res.states > 0 and res.elapsed >= 0.0
+    assert res.states == 0 and res.minor_lower == 3 and res.elapsed >= 0.0
+    # on Y5,4 the minor proves 4 and the search refutes width 4
+    res = exact_treewidth(make_family("stacked_prism", 5, 4))
+    assert (res.proof_status, res.lower, res.minor_lower) == ("exact", 5, 4)
+    assert res.states > 0
 
 
 def test_state_cap_degrades_to_bounds():
@@ -163,8 +182,8 @@ def test_state_cap_degrades_to_bounds():
     # honest interval around the known width with a valid decomposition
     limits = SolverLimits(max_states=10)
     for kind, m, n, known in (("toroidal_grid", 5, 3, 6),
-                              ("toroidal_grid", 4, 4, 6),
-                              ("stacked_prism", 6, 3, 6)):
+                              ("stacked_prism", 6, 3, 6),
+                              ("stacked_prism", 5, 4, 5)):
         g = make_family(kind, m, n)
         res = exact_treewidth(g, limits)
         assert res.proof_status == "bounds_only"
@@ -172,6 +191,9 @@ def test_state_cap_degrades_to_bounds():
         assert res.treewidth == res.upper == res.decomposition.width
         assert validate_tree_decomposition(g, res.decomposition).valid
         assert res.states <= limits.max_states + 1
+    # the minor settles T4,4 before the cap can bite
+    res = exact_treewidth(make_family("toroidal_grid", 4, 4), limits)
+    assert (res.proof_status, res.lower, res.upper, res.states) == ("exact", 6, 6, 0)
 
 
 def test_lower_bound_hint_is_gone():
@@ -222,8 +244,10 @@ def test_search_starts_at_the_witness_bound():
     g = make_family("stacked_prism", 6, 3)
     res = exact_treewidth(g, SolverLimits(max_states=0), family_bramble(g))
     assert (res.proof_status, res.lower, res.witness_lower) == ("bounds_only", 4, 4)
+    # with no witness, lower is what the minor proved
     res = exact_treewidth(g, SolverLimits(max_states=0))
-    assert (res.proof_status, res.lower, res.witness_lower) == ("bounds_only", 3, 0)
+    assert (res.proof_status, res.lower, res.witness_lower) == ("bounds_only", 4, 0)
+    assert res.minor_lower == 4
 
 
 def test_witness_is_checked_on_the_graph():
@@ -262,6 +286,23 @@ def connected_graphs(draw, max_n: int = 7) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_graphs(max_n=10))
+def test_contraction_degeneracy_is_between_degeneracy_and_width(g):
+    bound = contraction_degeneracy(g)
+    res = exact_treewidth(g)
+    assert degeneracy(g) <= bound <= res.treewidth
+    assert res.minor_lower == bound and res.proof_status == "exact"
+
+
+def test_minor_bound_on_family_graphs():
+    # every family graph up to 20 vertices: the minor never overshoots
+    for g in family_graphs(20):
+        res = exact_treewidth(g)
+        assert res.proof_status == "exact", g
+        assert degeneracy(g) <= res.minor_lower <= res.treewidth, g
 
 
 def brute_force_treewidth(g: Graph) -> int:
@@ -417,12 +458,13 @@ def test_search_matches_component_oracle(g, cap, data):
 
 # sha256 of write_td, first 16 hex digits, recorded from the component-based
 # search; any change to the witness order shows up here. The states count
-# the search with its failed prefixes memoized up to the graph's symmetry.
+# the search from the contraction degeneracy, with its failed prefixes
+# memoized up to the graph's symmetry; G5,4 and T4,4 need no search.
 PINNED_SEARCHES = [
-    ("grid", 5, 4, None, "exact", 4, 4, 952, "353917de3377ffc5"),
-    ("toroidal_grid", 4, 4, None, "exact", 6, 6, 40, "b72123f1f791cc82"),
+    ("grid", 5, 4, None, "exact", 4, 4, 0, "353917de3377ffc5"),
+    ("toroidal_grid", 4, 4, None, "exact", 6, 6, 0, "b72123f1f791cc82"),
     ("toroidal_grid", 5, 3, None, "exact", 6, 6, 45, "996265c7e92f6664"),
-    ("toroidal_grid", 6, 3, None, "exact", 6, 6, 170, "6b4cc05bd2301155"),
+    ("toroidal_grid", 6, 3, None, "exact", 6, 6, 134, "6b4cc05bd2301155"),
     ("stacked_prism", 8, 4, 4000, "bounds_only", 4, 8, 4001, "9a16d6b6f979c40b"),
 ]
 
