@@ -33,6 +33,7 @@ from .graphs import (
     make_family,
     mask_connected,
     mask_of,
+    parse_ints,
 )
 
 # Most distinct elements Bramble.from_elements accepts before it raises
@@ -554,13 +555,13 @@ def read_bramble(text: str, g: Graph, label: str = "custom") -> Bramble:
         if header is None:
             if parts[0] != "b" or len(parts) != 3:
                 raise BrambleError(f"line {lineno}: expected 'b <elements> <vertices>'")
-            header = (int(parts[1]), int(parts[2]))
+            header = tuple(parse_ints(parts[1:], lineno, BrambleError))
             if header[1] != g.n:
                 raise BrambleError(
                     f"bramble is over {header[1]} vertices, graph has {g.n}"
                 )
             continue
-        verts = [int(p) - 1 for p in parts]
+        verts = [x - 1 for x in parse_ints(parts, lineno, BrambleError)]
         if any(not 0 <= v < g.n for v in verts):
             raise BrambleError(f"line {lineno}: vertex out of range")
         elements.append(mask_of(verts))

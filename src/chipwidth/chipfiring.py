@@ -16,9 +16,6 @@ skips every v with d(v) >= 1, where d - (v) is already effective, and
 otherwise burns from v starting at d - (v): it stops with "survives" as
 soon as v is out of debt, because firing sets without v only adds chips
 to v, and with "loses" when the fire reaches every vertex.
-
-Edge multiplicities matter here, so these operations refuse graphs whose
-contraction history collapsed parallel edges (Graph.lossy_contraction).
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from .graphs import (
     InvalidFamilyError,
     iter_bits,
     line_vertices,
+    parse_ints,
 )
 
 # Most divisors exact_gonality enumerates, over all degrees; read at each
@@ -45,11 +43,6 @@ ENUMERATION_CAP = 10_000_000
 
 class ChipFiringError(Exception):
     """Base error for chip-firing operations."""
-
-
-class MultiplicityLostError(ChipFiringError):
-    """The graph discarded parallel edges during contraction; chip-firing
-    results on it would be wrong."""
 
 
 @dataclass(frozen=True)
@@ -104,13 +97,6 @@ class FiringScript:
         return FiringScript(tuple(c - low for c in self.counts))
 
 
-def _check_graph(g: Graph) -> None:
-    if g.lossy_contraction:
-        raise MultiplicityLostError(
-            "graph lost parallel edges in a contraction; chip-firing refuses it"
-        )
-
-
 def _check_divisor(g: Graph, d: Divisor) -> None:
     if len(d.chips) != g.n:
         raise ChipFiringError(f"divisor has {len(d.chips)} entries, graph has {g.n}")
@@ -119,7 +105,6 @@ def _check_divisor(g: Graph, d: Divisor) -> None:
 def apply_firing_script(g: Graph, d: Divisor, s: FiringScript) -> Divisor:
     """d - L s: each vertex v loses deg(v)*s[v] chips and gains one chip per
     firing of each neighbor."""
-    _check_graph(g)
     _check_divisor(g, d)
     if len(s.counts) != g.n:
         raise ChipFiringError(f"script has {len(s.counts)} entries, graph has {g.n}")
@@ -192,7 +177,6 @@ def q_reduce(g: Graph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     normalized to minimum entry zero and satisfies
     apply_firing_script(g, d, script) == reduced.
     """
-    _check_graph(g)
     _check_divisor(g, d)
     if not 0 <= q < g.n:
         raise ChipFiringError(f"vertex {q} out of range")
@@ -231,7 +215,6 @@ def divisors_equivalent(
     g: Graph, d1: Divisor, d2: Divisor
 ) -> tuple[bool, FiringScript | None]:
     """Same divisor class? If so, also a script with d1 - L s = d2."""
-    _check_graph(g)
     _check_divisor(g, d1)
     _check_divisor(g, d2)
     if d1.degree != d2.degree:
@@ -273,7 +256,6 @@ def is_winning_divisor(g: Graph, d: Divisor) -> tuple[bool, int | None]:
     test skips every v with d(v) >= 1 and runs Dhar's burn from v on
     d - (v) otherwise, stopping as soon as v is out of debt.
     """
-    _check_graph(g)
     _check_divisor(g, d)
     if not d.is_effective:
         raise ChipFiringError("the gonality game starts from an effective divisor")
@@ -319,12 +301,11 @@ def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
 
     Degrees are scanned upward; within a degree, divisors are tried in
     lexicographic order, so the reported winner is the lexicographically
-    least one of minimum degree. No symmetry reduction is attempted. The
-    graph is checked once; each divisor then gets the winning test of
-    is_winning_divisor (the burn from each v with d(v) = 0, stopping once v
-    is out of debt), at O(E) per burning round.
+    least one of minimum degree. No symmetry reduction is attempted. Each
+    divisor gets the winning test of is_winning_divisor (the burn from each
+    v with d(v) = 0, stopping once v is out of debt), at O(E) per burning
+    round.
     """
-    _check_graph(g)
     nbrs = _neighbor_lists(g, "the gonality game")
     if max_degree is None:
         max_degree = g.n  # one chip everywhere always wins
@@ -358,7 +339,6 @@ def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:
     row_twos (prism or torus): two chips on each vertex of a row, degree 2n.
     column_twos (torus): two chips on each vertex of a column, degree 2m.
     """
-    _check_graph(g)
     fam = g.family
     if fam is None or fam.kind not in GRID_KINDS:
         raise InvalidFamilyError("winning divisor generator needs a family graph")
@@ -417,22 +397,23 @@ def read_divisor(text: str, g: Graph) -> Divisor:
         if not header_seen:
             if parts[0] != "d" or len(parts) != 3:
                 raise ChipFiringError(f"line {lineno}: expected 'd <vertices> <degree>'")
-            if int(parts[1]) != g.n:
+            num_vertices, declared_degree = parse_ints(parts[1:], lineno, ChipFiringError)
+            if num_vertices != g.n:
                 raise ChipFiringError(
-                    f"divisor is over {parts[1]} vertices, graph has {g.n}"
+                    f"divisor is over {num_vertices} vertices, graph has {g.n}"
                 )
-            declared_degree = int(parts[2])
             header_seen = True
             continue
         if len(parts) != 2:
             raise ChipFiringError(f"line {lineno}: expected '<vertex> <chips>'")
-        v = int(parts[0]) - 1
+        v, c = parse_ints(parts, lineno, ChipFiringError)
+        v -= 1
         if not 0 <= v < g.n:
             raise ChipFiringError(f"line {lineno}: vertex out of range")
         if v in assigned:
             raise ChipFiringError(f"line {lineno}: vertex {v + 1} assigned twice")
         assigned.add(v)
-        chips[v] = int(parts[1])
+        chips[v] = c
     if not header_seen:
         raise ChipFiringError("missing header line")
     d = Divisor(tuple(chips))

@@ -1,4 +1,4 @@
-"""Graph core: bitset vertex sets, grid-like families, minors, and .gr I/O.
+"""Graph core: bitset vertex sets, grid-like families, and .gr I/O.
 
 Vertices are integers 0..n-1. Vertex sets are Python int bitmasks (bit v set
 means vertex v is in the set). Graphs are simple, undirected, and immutable
@@ -28,10 +28,6 @@ class GraphError(Exception):
 class InvalidFamilyError(GraphError):
     """Family parameters out of range, metadata that does not fit the edges,
     or an operation that needs family metadata."""
-
-
-class MissingEdgeError(GraphError):
-    """A minor step referenced an edge that is not in the graph."""
 
 
 class FormatError(GraphError):
@@ -66,6 +62,15 @@ def bits_list(mask: int) -> list[int]:
     return list(iter_bits(mask))
 
 
+def parse_ints(words: Sequence[str], lineno: int, error: type[Exception]) -> list[int]:
+    """The words of an input line as integers; a word that is not one
+    raises error, naming the line."""
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        raise error(f"line {lineno}: expected integers, got {' '.join(words)!r}") from None
+
+
 @dataclass(frozen=True)
 class FamilyMeta:
     """Which named family a graph was built as, with its grid dimensions.
@@ -87,21 +92,18 @@ class FamilyMeta:
 class Graph:
     """Immutable simple undirected graph with bitmask adjacency.
 
-    family, when given, must describe the edges (see the module docstring);
-    otherwise construction raises InvalidFamilyError. lossy_contraction is
-    set when the graph was produced by an edge contraction that collapsed
-    parallel edges; chip-firing operations refuse such graphs because
-    multiplicities were discarded.
+    Parallel edges collapse to one. family, when given, must describe the
+    edges (see the module docstring); otherwise construction raises
+    InvalidFamilyError.
     """
 
-    __slots__ = ("n", "edges", "adj", "family", "lossy_contraction")
+    __slots__ = ("n", "edges", "adj", "family")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
         family: FamilyMeta | None = None,
-        lossy_contraction: bool = False,
     ) -> None:
         if n < 1:
             raise GraphError("graph needs at least one vertex")
@@ -131,7 +133,6 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self.adj: tuple[int, ...] = tuple(adj)
         self.family = family
-        self.lossy_contraction = lossy_contraction
 
     @property
     def num_edges(self) -> int:
@@ -169,7 +170,7 @@ class Graph:
         if sorted(perm) != list(range(self.n)):
             raise GraphError("relabeling must be a permutation of 0..n-1")
         edges = [(perm[u], perm[v]) for u, v in self.edges]
-        return Graph(self.n, edges, None, self.lossy_contraction)
+        return Graph(self.n, edges)
 
     def __repr__(self) -> str:
         fam = f", family={self.family.kind}({self.family.m},{self.family.n})" if self.family else ""
@@ -245,7 +246,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for a, c in g.edges:
         for b in range(nh):
             edges.append((a * nh + b, c * nh + b))
-    return Graph(g.n * nh, edges, None, g.lossy_contraction or h.lossy_contraction)
+    return Graph(g.n * nh, edges)
 
 
 def make_family(kind: str, m: int, n: int) -> Graph:
@@ -287,78 +288,6 @@ def line_vertices(g: Graph, which: str, index: int) -> int:
             raise InvalidFamilyError(f"column index {index} out of range for n={n}")
         return mask_of(i * n + index for i in range(m))
     raise InvalidFamilyError(f"which must be 'row' or 'column', got {which!r}")
-
-
-def minor_step(g: Graph, op: str, edge: tuple[int, int]) -> Graph:
-    """One minor operation: delete_edge or contract_edge.
-
-    Contraction keeps the smaller endpoint's id, shifts ids above the removed
-    endpoint down by one, and simplifies the result; if parallel edges were
-    collapsed the result is marked lossy_contraction (chip-firing then
-    refuses it). Family metadata does not survive a minor step.
-    """
-    u, v = edge
-    if u > v:
-        u, v = v, u
-    if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not g.has_edge(u, v):
-        raise MissingEdgeError(f"edge ({edge[0]}, {edge[1]}) not in graph")
-    if op == "delete_edge":
-        edges = [e for e in g.edges if e != (u, v)]
-        return Graph(g.n, edges, None, g.lossy_contraction)
-    if op != "contract_edge":
-        raise GraphError(f"op must be delete_edge or contract_edge, got {op!r}")
-    new_edges: set[tuple[int, int]] = set()
-    collapsed = False
-    for a, b in g.edges:
-        if (a, b) == (u, v):
-            continue
-        a2 = u if a == v else (a if a < v else a - 1)
-        b2 = u if b == v else (b if b < v else b - 1)
-        if a2 > b2:
-            a2, b2 = b2, a2
-        if (a2, b2) in new_edges:
-            collapsed = True
-        else:
-            new_edges.add((a2, b2))
-    return Graph(g.n - 1, new_edges, None, g.lossy_contraction or collapsed)
-
-
-def row_collapse_minor(g: Graph, row: int) -> Graph:
-    """Collapse one row of a stacked prism into the next row.
-
-    Deletes the row's n-1 path edges, then contracts the n vertical edges
-    from the row to its cyclic successor. The result is isomorphic to the
-    stacked prism with one row fewer, which this operation verifies before
-    returning. Needs m >= 4 so the contraction stays simplification-free.
-    """
-    fam = g.family
-    if fam is None or fam.kind != "stacked_prism":
-        raise InvalidFamilyError("row collapse is defined on stacked prisms")
-    m, n = fam.m, fam.n
-    if m < 4:
-        raise InvalidFamilyError("row collapse needs m >= 4")
-    if not 0 <= row < m:
-        raise InvalidFamilyError(f"row index {row} out of range for m={m}")
-    pos = {(i, j): i * n + j for i in range(m) for j in range(n)}
-    cur: Graph = g
-    for j in range(n - 1):
-        cur = minor_step(cur, "delete_edge", (pos[(row, j)], pos[(row, j + 1)]))
-    succ = (row + 1) % m
-    for j in range(n):
-        a, b = pos[(row, j)], pos[(succ, j)]
-        cur = minor_step(cur, "contract_edge", (a, b))
-        kept, gone = min(a, b), max(a, b)
-        for key, vid in pos.items():
-            if vid == gone:
-                pos[key] = kept
-            elif vid > gone:
-                pos[key] = vid - 1
-    if cur.lossy_contraction:
-        raise GraphError("internal: row collapse collapsed parallel edges")
-    target = make_family("stacked_prism", m - 1, n)
-    if not are_isomorphic(cur, target):
-        raise GraphError("internal: row collapse result is not the smaller prism")
-    return cur
 
 
 def are_isomorphic(g: Graph, h: Graph, return_mapping: bool = False):
@@ -552,7 +481,7 @@ def read_gr(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: repeated problem line")
             if len(parts) != 4 or parts[1] != "tw":
                 raise FormatError(f"line {lineno}: expected 'p tw <n> <m>'")
-            n, declared_edges = int(parts[2]), int(parts[3])
+            n, declared_edges = parse_ints(parts[2:], lineno, FormatError)
             if n < 1:
                 raise FormatError("graph must have at least one vertex")
         else:
@@ -560,7 +489,7 @@ def read_gr(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected 'u v'")
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
+            u, v = (x - 1 for x in parse_ints(parts, lineno, FormatError))
             if not (0 <= u < n and 0 <= v < n):
                 raise FormatError(f"line {lineno}: vertex out of range")
             if u == v:

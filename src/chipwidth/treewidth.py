@@ -59,6 +59,7 @@ from .graphs import (
     bits_list,
     iter_bits,
     mask_of,
+    parse_ints,
 )
 
 DEFAULT_MAX_STATES = 100_000_000
@@ -683,32 +684,33 @@ def read_td(text: str) -> TreeDecomposition:
                 raise TdFormatError(f"line {lineno}: repeated solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise TdFormatError(f"line {lineno}: expected 's td <bags> <size> <n>'")
-            num_bags, declared_width, num_vertices = (
-                int(parts[2]),
-                int(parts[3]),
-                int(parts[4]),
+            num_bags, declared_width, num_vertices = parse_ints(
+                parts[2:], lineno, TdFormatError
             )
         elif parts[0] == "b":
             if num_bags == -1:
                 raise TdFormatError(f"line {lineno}: bag before solution line")
-            bag_id = int(parts[1]) - 1
+            if len(parts) < 2:
+                raise TdFormatError(f"line {lineno}: expected 'b <id> <vertices>'")
+            bag_id, *verts = (x - 1 for x in parse_ints(parts[1:], lineno, TdFormatError))
             if not 0 <= bag_id < num_bags:
                 raise TdFormatError(f"line {lineno}: bag id out of range")
             if bag_id in bags:
                 raise TdFormatError(f"line {lineno}: repeated bag {bag_id + 1}")
-            verts = [int(p) - 1 for p in parts[2:]]
             if any(not 0 <= v < num_vertices for v in verts):
                 raise TdFormatError(f"line {lineno}: bag vertex out of range")
             bags[bag_id] = mask_of(verts)
         else:
             if len(parts) != 2:
                 raise TdFormatError(f"line {lineno}: expected tree edge 'i j'")
-            a, b = int(parts[0]) - 1, int(parts[1]) - 1
+            a, b = (x - 1 for x in parse_ints(parts, lineno, TdFormatError))
             if not (0 <= a < num_bags and 0 <= b < num_bags):
                 raise TdFormatError(f"line {lineno}: tree edge out of range")
             edges.append((a, b))
     if num_bags == -1:
         raise TdFormatError("missing solution line")
+    if num_bags < 1:
+        raise TdFormatError("a decomposition needs at least one bag")
     if len(bags) != num_bags:
         raise TdFormatError(f"declared {num_bags} bags, found {len(bags)}")
     bag_tuple = tuple(bags[i] for i in range(num_bags))

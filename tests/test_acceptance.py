@@ -45,6 +45,7 @@ from chipwidth.treewidth import (
     min_fill_order,
     decomposition_from_elimination_order,
     family_bramble,
+    family_claims,
     read_td,
     validate_tree_decomposition,
     write_td,
@@ -176,6 +177,14 @@ def test_criterion_4_bramble_decomposition_duality():
         if strict:
             _check(failures, order <= res.treewidth,
                    f"{label}: strict order {order} exceeds tw {res.treewidth}")
+        # the theorem: strict order <= gon <= the degree of a winning divisor
+        style = family_claims(g).style
+        if strict and style is not None:
+            d = gen_winning_divisor(g, style)
+            _check(failures, is_winning_divisor(g, d)[0],
+                   f"{label}: stock {style} divisor does not win")
+            _check(failures, order <= d.degree,
+                   f"{label}: strict order {order} exceeds gon <= {d.degree}")
         hit = covering_bag(res.decomposition, b)
         _check(failures, all(hit.bag & e for e in b.elements),
                f"{label}: covering bag misses an element")

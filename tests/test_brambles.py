@@ -416,3 +416,7 @@ def test_bramble_format_rejections():
         read_bramble("b 2 9\n1 2\n", g)  # element count mismatch
     with pytest.raises(BrambleError):
         read_bramble("b 1 9\n1 99\n", g)  # vertex out of range
+    with pytest.raises(BrambleError, match="line 1"):
+        read_bramble("b x 4\n", g)  # element count not a number
+    with pytest.raises(BrambleError, match="line 2"):
+        read_bramble("b 1 9\n1 y\n", g)  # vertex not a number

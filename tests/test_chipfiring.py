@@ -15,7 +15,6 @@ from chipwidth.chipfiring import (
     ChipFiringError,
     Divisor,
     FiringScript,
-    MultiplicityLostError,
     _effective_divisors,
     apply_firing_script,
     divisors_equivalent,
@@ -31,7 +30,6 @@ from chipwidth.graphs import (
     InvalidFamilyError,
     make_elementary,
     make_family,
-    minor_step,
 )
 
 C4 = make_elementary("cycle", 4)
@@ -354,21 +352,6 @@ def test_winning_generator_rejections():
         gen_winning_divisor(make_elementary("cycle", 5), "row_twos")
 
 
-# --- lossy minors are refused ---------------------------------------------------------
-
-
-def test_lossy_contraction_refused():
-    k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    lossy = minor_step(k3, "contract_edge", (0, 1))
-    assert lossy.lossy_contraction
-    with pytest.raises(MultiplicityLostError):
-        q_reduce(lossy, Divisor.zero(lossy), 0)
-    with pytest.raises(MultiplicityLostError):
-        is_winning_divisor(lossy, Divisor.zero(lossy))
-    with pytest.raises(MultiplicityLostError):
-        exact_gonality(lossy)
-
-
 # --- divisor file format -----------------------------------------------------------------
 
 
@@ -390,3 +373,5 @@ def test_divisor_format_rejections():
         read_divisor("d 4 1\n9 1\n", C4)  # vertex out of range
     with pytest.raises(ChipFiringError):
         read_divisor("1 1\n", C4)  # missing header
+    with pytest.raises(ChipFiringError, match="line 1"):
+        read_divisor("d 2 x\n", C4)  # degree not a number

@@ -125,6 +125,9 @@ def test_verify_td_malformed_file(tmp_path, capsys):
     td.write_text("b 1 1 2\n")
     code, _, err = run(capsys, "verify-td", str(gr), str(td))
     assert code == 1 and "error:" in err
+    gr.write_text("p tw 3 x\n1 2\n2 3\n")
+    code, _, err = run(capsys, "tw", str(gr))
+    assert code == 1 and "error: line 1" in err
 
 
 # --- bramble ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Graph core: family generators, products, minors, isomorphism, .gr format."""
+"""Graph core: family generators, products, isomorphism, .gr format."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from chipwidth.graphs import (
     GraphError,
     InvalidFamilyError,
     MAX_GROUP_ORDER,
-    MissingEdgeError,
     are_isomorphic,
     automorphism_group,
     bits_list,
@@ -29,9 +28,7 @@ from chipwidth.graphs import (
     line_vertices,
     make_elementary,
     make_family,
-    minor_step,
     read_gr,
-    row_collapse_minor,
     write_gr,
 )
 from chipwidth.graphs import _family_edges
@@ -148,7 +145,6 @@ def test_graph_constructor_rejects_loops():
 def test_graph_dedups_parallel_edges():
     g = Graph(3, [(0, 1), (1, 0), (1, 2)])
     assert len(g.edges) == 2
-    assert not g.lossy_contraction
 
 
 # --- rows, columns, neighborhoods ---------------------------------------------
@@ -184,52 +180,6 @@ def test_neighborhood_and_connectivity():
     assert sorted(bits_list(c.neighborhood(1 << 0))) == [1, 4]
     assert c.is_connected()
     assert c.has_edge(0, 4) and not c.has_edge(0, 2)
-
-
-# --- minors -------------------------------------------------------------------
-
-
-def test_delete_edge():
-    c = make_elementary("cycle", 4)
-    h = minor_step(c, "delete_edge", (0, 1))
-    assert h.n == 4 and len(h.edges) == 3
-    with pytest.raises(MissingEdgeError):
-        minor_step(c, "delete_edge", (0, 2))
-
-
-def test_contract_edge_cycle():
-    c = make_elementary("cycle", 4)
-    h = minor_step(c, "contract_edge", (0, 1))
-    assert h.n == 3 and len(h.edges) == 3
-    assert are_isomorphic(h, make_elementary("cycle", 3))
-    assert not h.lossy_contraction
-
-
-def test_contract_edge_marks_lost_multiplicity():
-    k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    h = minor_step(k3, "contract_edge", (0, 1))
-    assert h.n == 2 and len(h.edges) == 1
-    assert h.lossy_contraction
-
-
-def test_row_collapse_minor_is_smaller_prism():
-    for m in (4, 5, 6):
-        for n in (2, 3):
-            got = row_collapse_minor(prism(m, n), 0)
-            want = prism(m - 1, n)
-            assert got.n == want.n and len(got.edges) == len(want.edges)
-            assert are_isomorphic(got, want)
-
-
-def test_row_collapse_row_choice_irrelevant():
-    a = row_collapse_minor(prism(5, 2), 0)
-    b = row_collapse_minor(prism(5, 2), 3)
-    assert are_isomorphic(a, b)
-
-
-def test_row_collapse_rejects_small_prism():
-    with pytest.raises(GraphError):
-        row_collapse_minor(prism(3, 2), 0)
 
 
 # --- isomorphism ---------------------------------------------------------------
@@ -427,3 +377,7 @@ def test_gr_rejections():
         read_gr("p tw 4 2\n1 2\n3 4\n")  # disconnected
     with pytest.raises(FormatError):
         read_gr("1 2\n2 3\n")  # missing problem line
+    with pytest.raises(FormatError, match="line 1"):
+        read_gr("p tw 3 x\n")  # edge count not a number
+    with pytest.raises(FormatError, match="line 2"):
+        read_gr("p tw 3 2\n1 a\n2 3\n")  # vertex not a number

@@ -1,4 +1,5 @@
-"""The benchmark tracer wraps package functions by name; each must exist."""
+"""Names other code reaches by string must exist: the functions the
+benchmark tracer wraps, and the package's export list."""
 
 from __future__ import annotations
 
@@ -20,3 +21,11 @@ def test_traced_functions_exist():
         module = importlib.import_module(f"chipwidth.{module_name}")
         for fname in functions:
             assert callable(getattr(module, fname, None)), f"{module_name}.{fname}"
+
+
+def test_exports_resolve():
+    # `from chipwidth import *` fails on a name __all__ keeps after its
+    # definition is deleted
+    package = importlib.import_module("chipwidth")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing, missing

@@ -35,7 +35,6 @@ from chipwidth.graphs import (
     iter_bits,
     make_elementary,
     make_family,
-    row_collapse_minor,
 )
 from chipwidth.treewidth import (
     NotATreeError,
@@ -569,20 +568,6 @@ def test_unverified_metadata_is_not_trusted():
             Graph(12, random_connected_graph(rng, 12, 0.25), lying)
 
 
-# --- minors only lower the width -------------------------------------------------
-
-
-def test_row_collapse_width_drop():
-    # collapsing one row of Y_{2n,n} leaves the (2n-1)-prism, one narrower
-    for n in (2, 3):
-        y = make_family("stacked_prism", 2 * n, n)
-        collapsed = row_collapse_minor(y, 0)
-        wide = exact_treewidth(y).treewidth
-        narrow = exact_treewidth(collapsed).treewidth
-        assert narrow == 2 * n - 1
-        assert narrow <= wide
-
-
 # --- covering bags ----------------------------------------------------------------
 
 
@@ -735,3 +720,9 @@ def test_td_rejections():
         read_td("s td 1 3 3\nb 1 1 2\n")  # declared bag size wrong
     with pytest.raises(TdFormatError):
         read_td("s td 2 2 3\ns td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")  # two headers
+    with pytest.raises(TdFormatError, match="line 1"):
+        read_td("s td 1 2 x\n")  # vertex count not a number
+    with pytest.raises(TdFormatError, match="line 2"):
+        read_td("s td 1 2 3\nb\n")  # bag line without an id
+    with pytest.raises(TdFormatError):
+        read_td("s td 0 0 2\n")  # no bags
