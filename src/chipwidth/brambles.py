@@ -546,7 +546,7 @@ def write_bramble(b: Bramble) -> str:
 
 def read_bramble(text: str, g: Graph, label: str = "custom") -> Bramble:
     header: tuple[int, int] | None = None
-    elements: list[int] = []
+    elements: dict[int, None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -564,7 +564,10 @@ def read_bramble(text: str, g: Graph, label: str = "custom") -> Bramble:
         verts = [x - 1 for x in parse_ints(parts, lineno, BrambleError)]
         if any(not 0 <= v < g.n for v in verts):
             raise BrambleError(f"line {lineno}: vertex out of range")
-        elements.append(mask_of(verts))
+        e = mask_of(verts)
+        if e in elements:
+            raise BrambleError(f"line {lineno}: repeated element")
+        elements[e] = None
     if header is None:
         raise BrambleError("missing header line")
     if len(elements) != header[0]:

@@ -20,12 +20,11 @@ to v, and with "loses" when the fire reaches every vertex.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .graphs import (
     GRID_KINDS,

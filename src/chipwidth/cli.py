@@ -11,11 +11,15 @@ Machine output goes to stdout, diagnostics to stderr. Exit codes: 0 on
 success or an all-match table, 1 on a verification failure or mismatch,
 2 on usage errors. Stdout is byte-identical across runs on the same input;
 measured wall times are only embedded when --timing is given.
+
+This module is the only place that opens files or writes JSON: the library's
+readers and writers take and return text.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import dataclass
@@ -33,7 +37,6 @@ from .brambles import (
     min_hitting_set,
     write_bramble,
 )
-from .certificates import Certificate
 from .chipfiring import (
     ChipFiringError,
     exact_gonality,
@@ -48,7 +51,7 @@ from .graphs import (
     bits_list,
     family_graphs,
     make_family,
-    read_gr_file,
+    read_gr,
     write_gr,
 )
 from .treewidth import (
@@ -59,9 +62,9 @@ from .treewidth import (
     exact_treewidth,
     family_bramble,
     family_claims,
-    read_td_file,
+    read_td,
     validate_tree_decomposition,
-    write_td_file,
+    write_td,
 )
 
 _FAMILY_LETTER = {"grid": "G", "stacked_prism": "Y", "toroidal_grid": "T"}
@@ -83,6 +86,11 @@ def _label(g: Graph) -> str:
     return f"graph({g.n}v)"
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.read()
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -91,8 +99,16 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _print_cert(cert: Certificate, timing: bool) -> None:
-    sys.stdout.write(cert.to_json(include_timing=timing) + "\n")
+def _print_cert(claim: dict, verdict: str, witness: dict, proof: str,
+                timing: float | None, show_timing: bool) -> None:
+    """Print a checked claim as JSON. verdict is the outcome in the claim's
+    own terms (exact or bounds_only, valid or invalid, pass or fail, wins or
+    loses); proof names the procedure that settled it (e.g. subset_dp,
+    hitting_set_search, exhaustive_enumeration); timing is wall seconds,
+    null unless show_timing, so repeated runs on one input stay byte-identical."""
+    cert = {"claim": claim, "verdict": verdict, "witness": witness, "proof": proof,
+            "timing": timing if show_timing else None}
+    sys.stdout.write(json.dumps(cert, indent=2) + "\n")
 
 
 def _one_indexed(witness: object) -> object:
@@ -113,11 +129,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_tw(args: argparse.Namespace) -> int:
-    g = read_gr_file(args.graph)
+    g = read_gr(_read(args.graph))
     res = exact_treewidth(g, SolverLimits(time_budget=args.budget_ms / 1000.0))
     if args.td is not None:
-        write_td_file(res.decomposition, args.td)
-    cert = Certificate(
+        _emit(write_td(res.decomposition), args.td)
+    _print_cert(
         claim={"type": "treewidth", "graph": _label(g), "vertices": g.n},
         verdict=res.proof_status,
         witness={
@@ -128,14 +144,14 @@ def _cmd_tw(args: argparse.Namespace) -> int:
         },
         proof="subset_dp",
         timing=res.elapsed,
+        show_timing=args.timing,
     )
-    _print_cert(cert, args.timing)
     return 0
 
 
 def _cmd_verify_td(args: argparse.Namespace) -> int:
-    g = read_gr_file(args.graph)
-    td = read_td_file(args.decomposition)
+    g = read_gr(_read(args.graph))
+    td = read_td(_read(args.decomposition))
     t0 = time.monotonic()
     report = validate_tree_decomposition(g, td)
     elapsed = time.monotonic() - t0
@@ -143,7 +159,7 @@ def _cmd_verify_td(args: argparse.Namespace) -> int:
         witness: dict = {"width": td.width}
     else:
         witness = {"condition": report.condition, "witness": _one_indexed(report.witness)}
-    cert = Certificate(
+    _print_cert(
         claim={
             "type": "tree_decomposition",
             "graph": _label(g),
@@ -154,8 +170,8 @@ def _cmd_verify_td(args: argparse.Namespace) -> int:
         witness=witness,
         proof="direct_check",
         timing=elapsed,
+        show_timing=args.timing,
     )
-    _print_cert(cert, args.timing)
     return 0 if report.valid else 1
 
 
@@ -175,7 +191,7 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
         counter = None
         if cls.counterexample is not None:
             counter = list(cls.counterexample)
-        cert = Certificate(
+        _print_cert(
             claim={
                 "type": "bramble_classification",
                 "family": args.family,
@@ -186,8 +202,8 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
             witness={"counterexample_elements": counter},
             proof="pairwise_check",
             timing=None,
+            show_timing=args.timing,
         )
-        _print_cert(cert, args.timing)
         return 0
     t0 = time.monotonic()
     oc = min_hitting_set(b)
@@ -203,7 +219,7 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
         verdict = "pass" if oc.order == args.claimed else "fail"
     else:
         verdict = cls.verdict
-    cert = Certificate(
+    _print_cert(
         claim=claim,
         verdict=verdict,
         witness={
@@ -213,27 +229,26 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
         },
         proof="hitting_set_search",
         timing=elapsed,
+        show_timing=args.timing,
     )
-    _print_cert(cert, args.timing)
     return 1 if verdict == "fail" else 0
 
 
 def _cmd_gon(args: argparse.Namespace) -> int:
-    g = read_gr_file(args.graph)
+    g = read_gr(_read(args.graph))
     if args.action == "check":
-        with open(args.divisor, "r", encoding="ascii") as fh:
-            d = read_divisor(fh.read(), g)
+        d = read_divisor(_read(args.divisor), g)
         t0 = time.monotonic()
         wins, fail_v = is_winning_divisor(g, d)
         elapsed = time.monotonic() - t0
-        cert = Certificate(
+        _print_cert(
             claim={"type": "winning_divisor", "graph": _label(g), "degree": d.degree},
             verdict="wins" if wins else "loses",
             witness={"failing_vertex": None if fail_v is None else fail_v + 1},
             proof="dhar_burn",
             timing=elapsed,
+            show_timing=args.timing,
         )
-        _print_cert(cert, args.timing)
         return 0 if wins else 1
     if args.action == "exact":
         t0 = time.monotonic()
@@ -242,7 +257,7 @@ def _cmd_gon(args: argparse.Namespace) -> int:
         winner = None
         if res.winning_divisor is not None:
             winner = list(res.winning_divisor.chips)
-        cert = Certificate(
+        _print_cert(
             claim={"type": "gonality", "graph": _label(g), "vertices": g.n},
             verdict=res.status,
             witness={
@@ -254,8 +269,8 @@ def _cmd_gon(args: argparse.Namespace) -> int:
             },
             proof="exhaustive_enumeration",
             timing=elapsed,
+            show_timing=args.timing,
         )
-        _print_cert(cert, args.timing)
         return 0
     # winning
     style = args.style if args.style is not None else family_claims(g).style
@@ -472,7 +487,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GraphError, DecompositionError, BrambleError, ChipFiringError, OSError) as exc:
+    except (GraphError, DecompositionError, BrambleError, ChipFiringError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,12 +63,17 @@ def bits_list(mask: int) -> list[int]:
 
 
 def parse_ints(words: Sequence[str], lineno: int, error: type[Exception]) -> list[int]:
-    """The words of an input line as integers; a word that is not one
-    raises error, naming the line."""
-    try:
-        return [int(w) for w in words]
-    except ValueError:
-        raise error(f"line {lineno}: expected integers, got {' '.join(words)!r}") from None
+    """The words of an input line as plain decimal integers, each an
+    optional minus sign and ASCII digits; a word that is not one raises
+    error, naming the line."""
+    line = " ".join(words)
+    # int() also takes underscores, a plus sign and non-ASCII digits
+    if line.isascii() and "_" not in line and "+" not in line:
+        try:
+            return [int(w) for w in words]
+        except ValueError:
+            pass
+    raise error(f"line {lineno}: expected integers, got {line!r}")
 
 
 @dataclass(frozen=True)
@@ -471,7 +476,7 @@ def read_gr(text: str) -> Graph:
             parts = line.split()
             if len(parts) == 5 and parts[1] == "family" and parts[2] in FAMILY_KINDS:
                 try:
-                    family = FamilyMeta(parts[2], int(parts[3]), int(parts[4]))
+                    family = FamilyMeta(parts[2], *parse_ints(parts[3:], lineno, ValueError))
                 except ValueError:
                     pass
             continue
@@ -509,8 +514,3 @@ def read_gr(text: str) -> Graph:
     if not g.is_connected():
         raise FormatError("graph is not connected")
     return g
-
-
-def read_gr_file(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_gr(fh.read())

@@ -717,13 +717,3 @@ def read_td(text: str) -> TreeDecomposition:
     if max(b.bit_count() for b in bag_tuple) != declared_width:
         raise TdFormatError("declared max bag size does not match bags")
     return TreeDecomposition(bag_tuple, tuple(edges), num_vertices)
-
-
-def write_td_file(td: TreeDecomposition, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(write_td(td))
-
-
-def read_td_file(path) -> TreeDecomposition:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_td(fh.read())

@@ -420,3 +420,7 @@ def test_bramble_format_rejections():
         read_bramble("b x 4\n", g)  # element count not a number
     with pytest.raises(BrambleError, match="line 2"):
         read_bramble("b 1 9\n1 y\n", g)  # vertex not a number
+    with pytest.raises(BrambleError, match="line 2"):
+        read_bramble("b 1 9\n1 2 +3\n", g)  # a plus sign
+    with pytest.raises(BrambleError, match="line 3: repeated element"):
+        read_bramble("b 2 9\n1 2\n2 1\n", g)

@@ -375,3 +375,10 @@ def test_divisor_format_rejections():
         read_divisor("1 1\n", C4)  # missing header
     with pytest.raises(ChipFiringError, match="line 1"):
         read_divisor("d 2 x\n", C4)  # degree not a number
+    with pytest.raises(ChipFiringError, match="line 1"):
+        read_divisor("d 4 1_0\n1 1_0\n", C4)  # underscores
+    with pytest.raises(ChipFiringError, match="line 2"):
+        read_divisor("d 4 3\n1 +3\n", C4)  # a plus sign
+    with pytest.raises(ChipFiringError, match="line 2"):
+        read_divisor("d 4 3\n1 \u0663\n", C4)  # ARABIC-INDIC DIGIT THREE
+    assert read_divisor("d 4 -1\n1 -1\n", C4).chips == (-1, 0, 0, 0)  # chips stay signed

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import chipwidth.cli as cli
@@ -128,6 +129,9 @@ def test_verify_td_malformed_file(tmp_path, capsys):
     gr.write_text("p tw 3 x\n1 2\n2 3\n")
     code, _, err = run(capsys, "tw", str(gr))
     assert code == 1 and "error: line 1" in err
+    gr.write_bytes("c caf\u00e9\np tw 1 0\n".encode())  # files are ASCII
+    code, _, err = run(capsys, "tw", str(gr))
+    assert code == 1 and err.startswith("error: 'ascii' codec can't decode")
 
 
 # --- bramble ----------------------------------------------------------------------
@@ -224,6 +228,56 @@ def test_gon_winning_needs_family_metadata(tmp_path, capsys):
     run(capsys, "gen", "grid", "3", "3", "-o", str(gr))
     code, out, err = run(capsys, "gon", "winning", str(gr))
     assert code == 1 and out == "" and "no stock winning divisor for family 'grid'" in err
+
+
+# --- certificate bytes ------------------------------------------------------------
+
+# SHA-256 of the stdout of each certificate command: a change of key order,
+# indent or any value shows here
+PINNED = [
+    (("tw", "{t43}"), 0,
+     "990d077757d8fc9de7b2df0f1604bf930a016ba72dc0fc045dc50aa958221550"),
+    (("verify-td", "{y53}", "{y53td}"), 0,
+     "203237034cf8c1a18cb1c4cb1ff3fa97dbe28aec7a5f320449add4e69f77a488"),
+    (("verify-td", "{p3}", "{p3td}"), 1,
+     "7aca5e69590b4dc3e3d27de085a529d5497f22caa6648f5a3aa36bd3af31b085"),
+    (("bramble", "classify", "--family", "torus_fg", "--m", "4", "--n", "3"), 0,
+     "ba239f16fede34365787ed90158f3508db679a882d34bcb63a623332a3a14441"),
+    (("bramble", "order", "--family", "torus_fg", "--m", "4", "--n", "3", "--claimed", "6"), 0,
+     "a0155fff936e2899a6c61ac1cebfce7a09112ab527d2be9f96fd32f2cfecdb12"),
+    (("gon", "check", "{t43}", "{t43div}"), 0,
+     "035b1bae48507213e14b2b7681baa82098085ffcb6c29c39ade7b17b618d753f"),
+    (("gon", "exact", "{y42}", "--max-degree", "3"), 0,
+     "6d8589b2026b684d260b1d2eea749c48f06be9f31ab576082b96b83ab63a91da"),
+]
+
+
+def test_certificate_bytes_pinned(tmp_path, capsys):
+    files = {name: str(tmp_path / name) for name in ("t43", "y53", "y53td", "y42", "t43div")}
+    files["p3"], files["p3td"] = str(tmp_path / "p3"), str(tmp_path / "p3td")
+    run(capsys, "gen", "torus", "4", "3", "-o", files["t43"])
+    run(capsys, "gen", "prism", "5", "3", "-o", files["y53"])
+    run(capsys, "gen", "prism", "4", "2", "-o", files["y42"])
+    run(capsys, "tw", files["y53"], "--td", files["y53td"])
+    run(capsys, "gon", "winning", files["t43"], "-o", files["t43div"])
+    (tmp_path / "p3").write_text("p tw 3 2\n1 2\n2 3\n")
+    (tmp_path / "p3td").write_text("s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n")  # edge 2-3 in no bag
+    for template, expected_code, digest in PINNED:
+        argv = [arg.format(**files) for arg in template]
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (expected_code, digest), argv
+        cert = json.loads(out)
+        assert list(cert) == ["claim", "verdict", "witness", "proof", "timing"]
+        assert cert["timing"] is None
+        # --timing embeds wall seconds and changes nothing else; classify
+        # measures nothing, so it prints null either way
+        code, out, _ = run(capsys, "--timing", *argv)
+        timed = json.loads(out)
+        assert code == expected_code and {**timed, "timing": None} == cert
+        if argv[1] == "classify":
+            assert timed["timing"] is None
+        else:
+            assert isinstance(timed["timing"], float)
 
 
 # --- usage errors ------------------------------------------------------------------

@@ -381,3 +381,14 @@ def test_gr_rejections():
         read_gr("p tw 3 x\n")  # edge count not a number
     with pytest.raises(FormatError, match="line 2"):
         read_gr("p tw 3 2\n1 a\n2 3\n")  # vertex not a number
+    # a number is an optional minus sign and ASCII digits, not all that int() takes
+    with pytest.raises(FormatError, match="line 1"):
+        read_gr("p tw 1_0 9\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 10)))
+    with pytest.raises(FormatError, match="line 2"):
+        read_gr("p tw 3 2\n1 +2\n2 3\n")
+    with pytest.raises(FormatError, match="line 2"):
+        read_gr("p tw 3 2\n1 \u0663\n2 3\n")  # ARABIC-INDIC DIGIT THREE
+    # a family comment with such a number is ignored, as a non-integer one is
+    path = "p tw 10 9\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 10))
+    assert read_gr("c family path 1_0 1\n" + path).family is None
+    assert read_gr("c family path 10 1\n" + path).family == FamilyMeta("path", 10, 1)

@@ -1,13 +1,16 @@
 """Names other code reaches by string must exist: the functions the
-benchmark tracer wraps, and the package's export list."""
+benchmark tracer wraps, and the package's export list. Names a module
+imports must be used."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_traced_functions_exist():
@@ -29,3 +32,21 @@ def test_exports_resolve():
     package = importlib.import_module("chipwidth")
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing, missing
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export, and __future__ imports are flags
+    unused = []
+    for path in sorted((ROOT / "src" / "chipwidth").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not unused, unused

@@ -724,5 +724,9 @@ def test_td_rejections():
         read_td("s td 1 2 x\n")  # vertex count not a number
     with pytest.raises(TdFormatError, match="line 2"):
         read_td("s td 1 2 3\nb\n")  # bag line without an id
+    with pytest.raises(TdFormatError, match="line 2"):
+        read_td("s td 1 3 3\nb 1 1 2 +3\n")  # a plus sign
+    with pytest.raises(TdFormatError, match="line 1"):
+        read_td("s td 1 2 1_0\nb 1 1 2\n")  # an underscore
     with pytest.raises(TdFormatError):
         read_td("s td 0 0 2\n")  # no bags
