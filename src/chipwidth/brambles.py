@@ -9,18 +9,26 @@ tw + 1. exact_treewidth takes a bramble as a witness and checks it on the
 graph before it uses that bound.
 
 Classification and the order both work on holders[v], the bitset of the
-indices of the elements that hold vertex v. The order comes from one
-decision search, asked for each size in turn from a degree-sum lower bound
-up: it branches on the vertices of the smallest unhit element, drops each
-tried vertex from the later branches, and prunes where the largest unhit
-counts of the allowed vertices cannot add up to the unhit elements. The
-same search fixes the lexicographically least optimal witness slot by slot.
+indices of the elements that hold vertex v, built in one pass by
+transposing the elements' binary strings. Classification first searches
+each element once, which checks that it is connected and lists its
+vertices and the vertices next to it; an element then meets and touches
+all the others in one OR of holders per listed vertex. The order comes
+from one decision search, asked for each size in turn from a degree-sum
+lower bound up: it branches on the vertices of the smallest unhit element,
+drops each tried vertex from the later branches, and prunes where the
+largest unhit counts of the allowed vertices cannot add up to the unhit
+elements. The same search fixes the lexicographically least optimal
+witness slot by slot. The hot loops walk vertex lists or peel the lowest
+set bit in place; the iter_bits generator costs a frame resume per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import or_
 from typing import Iterable, Iterator
 
 from .graphs import (
@@ -73,12 +81,14 @@ class Bramble:
         label: str = "custom",
     ) -> "Bramble":
         seen: dict[int, None] = {}
+        n = graph.n
         for e in elements:
-            if e == 0:
-                raise BrambleError("empty element")
-            if e >> graph.n:
-                raise BrambleError("element contains a vertex outside the graph")
+            # an empty or out-of-range element is never in seen
             if e not in seen:
+                if e == 0:
+                    raise BrambleError("empty element")
+                if e >> n:
+                    raise BrambleError("element contains a vertex outside the graph")
                 if len(seen) >= DEFAULT_ELEMENT_LIMIT:
                     raise ElementLimitError(
                         f"more than {DEFAULT_ELEMENT_LIMIT} distinct elements; raise the cap"
@@ -131,39 +141,75 @@ def sets_touch(g: Graph, a: int, b: int) -> bool:
 
 
 def _element_holders(elements: list[int], n: int) -> list[int]:
-    """holders[v] is the bitset of the indices of the elements holding v."""
-    rows = [bytearray((len(elements) + 7) // 8) for _ in range(n)]
-    for i, e in enumerate(elements):
-        for v in iter_bits(e):
-            rows[v][i >> 3] |= 1 << (i & 7)
-    return [int.from_bytes(r, "little") for r in rows]
+    """holders[v] is the bitset of the indices of the elements holding v.
+
+    The transpose of the elements' n-digit binary strings: column v of the
+    strings, read with element 0 as the lowest digit, is holders[v]."""
+    if not elements:
+        return [0] * n
+    columns = zip(*[format(e, f"0{n}b") for e in elements])
+    # string position 0 is vertex n - 1
+    return [int("".join(col)[::-1], 2) for col in columns][::-1]
+
+
+def _span(adj: tuple[int, ...], e: int) -> tuple[list[int], list[int]] | None:
+    """The vertices of a nonempty set e in search order and the vertices
+    outside e adjacent to it, or None if e does not induce a connected
+    subgraph. One search answers all three: once it has reached all of e,
+    the union of the adjacencies it read is N(e)."""
+    low = e & -e
+    rest = e ^ low  # the vertices of e not reached yet
+    reached = [low.bit_length() - 1]
+    reach = 0
+    for v in reached:
+        a = adj[v]
+        reach |= a
+        new = a & rest
+        rest ^= new
+        while new:
+            low = new & -new
+            reached.append(low.bit_length() - 1)
+            new ^= low
+    if rest:
+        return None
+    rim = []
+    new = reach & ~e
+    while new:
+        low = new & -new
+        rim.append(low.bit_length() - 1)
+        new ^= low
+    return reached, rim
 
 
 def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
     """Name the first non-touching pair, else the first disjoint pair, in
     index order. Through the per-vertex holders bitsets an element meets and
-    touches the others in a few big-int ORs."""
+    touches the others in a few big-int ORs, over its vertices and over the
+    vertices of its neighbourhood."""
     elems = list(elements)
+    spans = []
     for i, e in enumerate(elems):
-        if e == 0 or not is_connected_set(g, e):
+        if e == 0:
             return Classification(NOT_BRAMBLE, (i, i))
-    holders = _element_holders(elems, g.n)
+        if e >> g.n:
+            raise ValueError("set contains a vertex outside the graph")
+        span = _span(g.adj, e)
+        if span is None:
+            return Classification(NOT_BRAMBLE, (i, i))
+        spans.append(span)
+    holder = _element_holders(elems, g.n).__getitem__
     later = (1 << len(elems)) - 1  # indices above i once bit i is cleared
     disjoint_pair: tuple[int, int] | None = None
-    for i, e in enumerate(elems):
+    for i, (inside, rim) in enumerate(spans):
         later ^= 1 << i
-        meets = 0
-        for v in iter_bits(e):
-            meets |= holders[v]
-        touches = meets
-        for v in iter_bits(g.neighborhood(e) & ~e):
-            touches |= holders[v]
+        meets = reduce(or_, map(holder, inside))
+        touches = reduce(or_, map(holder, rim), meets)
         apart = later & ~touches
         if apart:
-            return Classification(NOT_BRAMBLE, (i, next(iter_bits(apart))))
+            return Classification(NOT_BRAMBLE, (i, (apart & -apart).bit_length() - 1))
         disjoint = later & ~meets
         if disjoint and disjoint_pair is None:
-            disjoint_pair = (i, next(iter_bits(disjoint)))
+            disjoint_pair = (i, (disjoint & -disjoint).bit_length() - 1)
     if disjoint_pair is None:
         return Classification(STRICT_BRAMBLE)
     return Classification(BRAMBLE, disjoint_pair)
@@ -189,13 +235,15 @@ class _HittingSearch:
 
     Elements are sorted once by (size, lowest vertex, mask), so the lowest
     set bit of an unhit bitset names the smallest unhit element. holders[v]
-    is the bitset of the element indices holding v. nodes counts the calls
-    of exists, the work measure of the search.
+    is the bitset of the element indices holding v, paired with bit v in
+    vertex_holders. nodes counts the calls of exists, the work measure of
+    the search.
     """
 
     def __init__(self, elements: Iterable[int], n: int):
         self.elements = sorted(elements, key=lambda e: (e.bit_count(), e & -e, e))
         self.holders = _element_holders(self.elements, n)
+        self.vertex_holders = [(bit(v), h) for v, h in enumerate(self.holders)]
         self.n = n
         self.everything = (1 << len(self.elements)) - 1
         self.nodes = 0
@@ -206,16 +254,19 @@ class _HittingSearch:
         allowed vertex."""
         counts = []
         covered = 0
-        for v in iter_bits(allowed):
-            hit = unhit & self.holders[v]
-            if hit:
-                counts.append(hit.bit_count())
-                covered |= hit
+        for b, h in self.vertex_holders:
+            if allowed & b:
+                hit = unhit & h
+                if hit:
+                    counts.append(hit.bit_count())
+                    covered |= hit
         if covered != unhit:
             return self.n + 1
         counts.sort(reverse=True)
         need = unhit.bit_count()
-        for used, c in enumerate(counts, start=1):
+        used = 0
+        for c in counts:
+            used += 1
             need -= c
             if need <= 0:
                 return used
@@ -232,10 +283,12 @@ class _HittingSearch:
             return True
         if size <= 0 or self.degree_bound(unhit, allowed) > size:
             return False
-        element = self.elements[(unhit & -unhit).bit_length() - 1]
-        for v in iter_bits(element & allowed):
-            allowed &= ~bit(v)
-            if self.exists(unhit & ~self.holders[v], size - 1, allowed):
+        choices = self.elements[(unhit & -unhit).bit_length() - 1] & allowed
+        while choices:
+            low = choices & -choices
+            choices ^= low
+            allowed ^= low
+            if self.exists(unhit & ~self.holders[low.bit_length() - 1], size - 1, allowed):
                 return True
         return False
 
@@ -397,68 +450,60 @@ def gen_torus_cde(g: Graph) -> Bramble:
     m, n = _require_family(g, "toroidal_grid", "torus bramble cde")
     if not m >= n + 2:
         raise WrongRegimeError(f"cde needs m >= n + 2, got m={m}, n={n}")
-    rows = [line_vertices(g, "row", i) for i in range(m)]
     cols = [line_vertices(g, "column", j) for j in range(n)]
-
-    def cut_row(r: int, c: int) -> int:
-        return rows[r] & ~bit(r * n + c)
-
-    def cut_col(j: int, d: int) -> int:
-        return cols[j] & ~bit(d * n + j)
+    # cut_row[r][c] is row r without its vertex in column c, and
+    # cut_col[j][d] column j without its vertex in row d
+    cut_row = [
+        [line_vertices(g, "row", r) & ~bit(r * n + c) for c in range(n)] for r in range(m)
+    ]
+    cut_col = [[cols[j] & ~bit(d * n + j) for d in range(m)] for j in range(n)]
 
     def gen() -> Iterator[int]:
         for j in range(n):
             others = [c for c in range(n) if c != j]
+            no_triple = _product_no_triple(others, 4)
+            not_constant = _product_not_constant(others, 3)
             # C: cut column + four cut rows, row cuts never 3-aligned
             for rs in combinations(range(m), 4):
-                outside = [d for d in range(m) if d not in rs]
-                for d in outside:
-                    base = cut_col(j, d)
-                    for cuts in _product_no_triple(others, 4):
-                        e = base
-                        for r, c in zip(rs, cuts):
-                            e |= cut_row(r, c)
-                        yield e
+                r0, r1, r2, r3 = (cut_row[r] for r in rs)
+                cut_rows = [r0[w] | r1[x] | r2[y] | r3[z] for w, x, y, z in no_triple]
+                for d in range(m):
+                    if d not in rs:
+                        base = cut_col[j][d]
+                        for e in cut_rows:
+                            yield base | e
             # D: full column + three cut rows, cuts not all in one column
             for rs in combinations(range(m), 3):
-                for cuts in _product_not_constant(others, 3):
-                    e = cols[j]
-                    for r, c in zip(rs, cuts):
-                        e |= cut_row(r, c)
-                    yield e
+                r0, r1, r2 = (cut_row[r] for r in rs)
+                for x, y, z in not_constant:
+                    yield cols[j] | r0[x] | r1[y] | r2[z]
         # E: two cut columns + three rows cut in a common outside column
         for j1, j2 in combinations(range(n), 2):
+            shared = [c for c in range(n) if c != j1 and c != j2]
             for rs in combinations(range(m), 3):
+                r0, r1, r2 = (cut_row[r] for r in rs)
+                cut_rows = [r0[c] | r1[c] | r2[c] for c in shared]
                 outside = [d for d in range(m) if d not in rs]
-                shared = [c for c in range(n) if c != j1 and c != j2]
                 for d1 in outside:
-                    c1 = cut_col(j1, d1)
+                    c1 = cut_col[j1][d1]
                     for d2 in outside:
-                        base = c1 | cut_col(j2, d2)
-                        for c in shared:
-                            e = base
-                            for r in rs:
-                                e |= cut_row(r, c)
-                            yield e
+                        base = c1 | cut_col[j2][d2]
+                        for e in cut_rows:
+                            yield base | e
 
     return Bramble.from_elements(g, gen(), "torus_cde")
 
 
-def _product_no_triple(choices: list[int], count: int) -> Iterator[tuple[int, ...]]:
+def _product_no_triple(choices: list[int], count: int) -> list[tuple[int, ...]]:
     """Tuples over choices where no value occurs three or more times."""
-    from itertools import product
+    return [
+        tup for tup in product(choices, repeat=count)
+        if max(tup.count(c) for c in set(tup)) < 3
+    ]
 
-    for tup in product(choices, repeat=count):
-        if max(tup.count(c) for c in set(tup)) < 3:
-            yield tup
 
-
-def _product_not_constant(choices: list[int], count: int) -> Iterator[tuple[int, ...]]:
-    from itertools import product
-
-    for tup in product(choices, repeat=count):
-        if any(c != tup[0] for c in tup):
-            yield tup
+def _product_not_constant(choices: list[int], count: int) -> list[tuple[int, ...]]:
+    return [tup for tup in product(choices, repeat=count) if any(c != tup[0] for c in tup)]
 
 
 def gen_torus_fg(g: Graph) -> Bramble:

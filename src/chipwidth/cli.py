@@ -186,7 +186,9 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
     if args.action == "generate":
         _emit(write_bramble(b), args.output)
         return 0
+    t0 = time.monotonic()
     cls = classify_family(g, b.elements)
+    elapsed = time.monotonic() - t0
     if args.action == "classify":
         counter = None
         if cls.counterexample is not None:
@@ -201,7 +203,7 @@ def _cmd_bramble(args: argparse.Namespace) -> int:
             verdict=cls.verdict,
             witness={"counterexample_elements": counter},
             proof="pairwise_check",
-            timing=None,
+            timing=elapsed,
             show_timing=args.timing,
         )
         return 0

@@ -18,9 +18,10 @@ first moves are one vertex per orbit, and a prefix whose image under some
 automorphism was refuted is skipped at every depth. The path keeps the
 images of the prefix under the whole group, and a refuted prefix is
 memoized by its mask and by the least of its images. A group larger than
-graphs.MAX_GROUP_ORDER is replaced by the identity. Only infeasible
-subtrees are skipped, so the witness order, and with it the decomposition,
-is the one the search finds without symmetry. It runs under a state cap
+graphs.MAX_GROUP_ORDER is replaced by the identity. The group and its
+image table are built once per graph, and only when a search runs. Only
+infeasible subtrees are skipped, so the witness order, and with it the
+decomposition, is the one the search finds without symmetry. It runs under a state cap
 and a wall-clock budget (60 s by default) and reports bounds when either
 runs out.
 
@@ -127,8 +128,9 @@ class WidthResult:
     minor_lower is contraction_degeneracy(g), the bound a minor proves, and
     witness_lower the bound the checked witness bramble proved, 0 when none
     was given; the search starts at the larger of the two. group_order is
-    the order of the automorphism group the search used, 1 when g's group
-    is larger than MAX_GROUP_ORDER."""
+    the order of the automorphism group the search used, 1 when no search
+    ran (the lower bound met the min-fill width) or when g's group is
+    larger than MAX_GROUP_ORDER."""
 
     treewidth: int
     decomposition: TreeDecomposition
@@ -343,6 +345,14 @@ def _orbit_roots(group: list[list[int]]) -> list[int]:
     return [v for v in range(len(group[0])) if all(p[v] >= v for p in group)]
 
 
+def _vertex_images(group: list[list[int]]) -> list[list[int]] | None:
+    """images[v][i] is vertex v's image under the i-th automorphism, as a
+    bit; None when the group is the identity alone, whose key is the mask."""
+    if len(group) == 1:
+        return None
+    return [[1 << p[v] for p in group] for v in range(len(group[0]))]
+
+
 class _Budget:
     __slots__ = ("max_states", "deadline", "states", "exhausted")
 
@@ -368,15 +378,15 @@ def _decide_width(
     k: int,
     budget: _Budget,
     roots: list[int] | None = None,
-    group: list[list[int]] | None = None,
+    images: list[list[int]] | None = None,
 ) -> tuple[bool | None, list[int] | None]:
     """Is there an elimination order with every back-degree <= k?
 
     Returns (verdict, order). verdict None means the budget ran out before
-    the question was settled. group lists automorphisms of g, the identity
-    first, as automorphism_group gives them; a prefix with a refuted image
-    is skipped, which drops only infeasible subtrees, so the verdict and
-    the order stay those of the search without it.
+    the question was settled. images is _vertex_images of automorphisms of
+    g, the identity first, as automorphism_group gives them; a prefix with
+    a refuted image is skipped, which drops only infeasible subtrees, so
+    the verdict and the order stay those of the search without it.
     """
     n = g.n
     if n <= k + 1:
@@ -391,11 +401,6 @@ def _decide_width(
     failed: set[int] = set()
     path: list[int] = []
     tick = budget.tick
-    # vimg[v][i] is vertex v's image under the i-th automorphism, as a bit;
-    # None when the group is the identity alone, whose key is the mask
-    vimg = None
-    if group is not None and len(group) > 1:
-        vimg = [[1 << p[v] for p in group] for v in range(n)]
 
     def expand(
         s_mask: int, key: int, imgs: list[int] | None, depth: int, outside: list[int]
@@ -451,10 +456,10 @@ def _decide_width(
             child = s_mask | bit[v]
             if child in failed:
                 continue
-            if vimg is None:
+            if images is None:
                 cimgs, ckey = None, child
             else:
-                cimgs = list(map(or_, imgs, vimg[v]))
+                cimgs = list(map(or_, imgs, images[v]))
                 ckey = min(cimgs)
                 if ckey in failed:
                     continue
@@ -482,7 +487,7 @@ def _decide_width(
     # fill degree at the empty prefix is the plain degree
     if roots is None:
         roots = list(range(n))
-    imgs = None if vimg is None else [0] * len(group)
+    imgs = None if images is None else [0] * len(images[0])
     res = descend(0, 0, imgs, 0, list(range(n)), [r for r in roots if g.degree(r) <= k])
     if not res:
         return res, None
@@ -534,20 +539,22 @@ def exact_treewidth(
     lower = max(minor_lower, witness_lower)
     upper = mf_width
     best_order = mf_order
-    group = automorphism_group(g)
-    roots = _orbit_roots(group)
-
-    k = lower
-    while k < upper:
-        verdict, order = _decide_width(g, k, budget, roots, group)
-        if verdict is None:
-            break
-        if verdict:
-            upper = k
-            best_order = order
-            break
-        k += 1
-        lower = k
+    group_order = 1
+    if lower < upper:
+        group = automorphism_group(g)
+        group_order = len(group)
+        roots, images = _orbit_roots(group), _vertex_images(group)
+        k = lower
+        while k < upper:
+            verdict, order = _decide_width(g, k, budget, roots, images)
+            if verdict is None:
+                break
+            if verdict:
+                upper = k
+                best_order = order
+                break
+            k += 1
+            lower = k
 
     td = decomposition_from_elimination_order(g, best_order)
     status = "exact" if lower == upper else "bounds_only"
@@ -561,7 +568,7 @@ def exact_treewidth(
         elapsed=time.monotonic() - t0,
         minor_lower=minor_lower,
         witness_lower=witness_lower,
-        group_order=len(group),
+        group_order=group_order,
     )
 
 

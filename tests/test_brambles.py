@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from chipwidth.brambles import (
     BrambleError,
     ElementLimitError,
     WrongRegimeError,
+    _element_holders,
     classify_family,
     gen_balanced_bramble,
     gen_grid_bramble,
@@ -141,6 +143,26 @@ def test_classify_strict():
     assert c.verdict == "strict_bramble" and c.counterexample is None
 
 
+def test_classify_edge_inputs():
+    # no elements: no pair can fail
+    c = classify_family(make_elementary("path", 4), [])
+    assert c.verdict == "strict_bramble" and c.counterexample is None
+    # a one-pass iterator is read once, like the tuple; vertex 0 misses the
+    # cross of row 2 and column 2
+    fg, grid = make_family("toroidal_grid", 4, 3), make_family("grid", 4, 4)
+    for g, elements, verdict in (
+        (fg, gen_torus_fg(fg).elements, "bramble"),
+        (grid, gen_grid_bramble(grid).elements + (mask(0),), "not_bramble"),
+    ):
+        c = classify_family(g, iter(elements))
+        assert c == classify_family(g, elements) and c.verdict == verdict
+    # a vertex outside the graph is an error, once no earlier element failed
+    p4 = make_elementary("path", 4)
+    with pytest.raises(ValueError):
+        classify_family(p4, (mask(0, 1), mask(3, 4)))
+    assert classify_family(p4, (mask(0, 2), mask(4))).counterexample == (0, 0)
+
+
 @st.composite
 def element_families(draw) -> tuple[Graph, list[int]]:
     g = draw(connected_graphs(min_n=2, max_n=9))
@@ -164,6 +186,20 @@ def test_classify_matches_pairwise_reference(family):
     g, elements = family
     c = classify_family(g, elements)
     assert (c.verdict, c.counterexample) == pairwise_classification(g, elements)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(9, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+))
+def test_element_holders_by_definition(family):
+    # bit i of holders[v] is set exactly when element i holds vertex v, on
+    # more than one byte of vertices and of elements
+    n, elements = family
+    holders = _element_holders(elements, n)
+    assert len(holders) == n
+    for v in range(n):
+        assert holders[v] == sum(1 << i for i, e in enumerate(elements) if e >> v & 1)
 
 
 # --- exact minimum hitting sets ----------------------------------------------------
@@ -228,6 +264,30 @@ STOCK_ORDERS = {
     ("stacked_prism", 4, 2, gen_prism_collapsed): (3, [0, 1, 4], 13),
     ("stacked_prism", 6, 3, gen_prism_collapsed): (5, [0, 1, 2, 6, 7], 418),
 }
+
+
+# (kind, m, n, generator): element count and sha256 of the element tuple,
+# first 16 hex digits; the element order fixes classify's counterexample
+# indices, so generators must keep it
+GENERATED_ELEMENTS = {
+    ("grid", 4, 5, gen_grid_bramble): (20, "9a866aef274ed731"),
+    ("stacked_prism", 7, 3, gen_prism_b1): (315, "645370625434198f"),
+    ("stacked_prism", 5, 4, gen_prism_b2): (560, "d9a0ac38b3d0f911"),
+    ("stacked_prism", 6, 3, gen_prism_collapsed): (285, "3e008b43c21bf624"),
+    ("toroidal_grid", 5, 4, gen_torus_fg): (1160, "ac650f1e873d31bc"),
+    ("toroidal_grid", 4, 3, gen_balanced_bramble): (696, "0140ab52e6e10748"),
+    ("toroidal_grid", 5, 3, gen_torus_cde): (345, "8cb484385fe27ffb"),
+    ("toroidal_grid", 6, 3, gen_torus_cde): (1008, "ca7069c36d5c926b"),
+    ("toroidal_grid", 7, 3, gen_torus_cde): (2667, "55eb0e003949607f"),
+    ("toroidal_grid", 6, 4, gen_torus_cde): (10560, "03c82cf2dccb4062"),
+}
+
+
+def test_generated_elements_pinned():
+    for (kind, m, n, gen), want in GENERATED_ELEMENTS.items():
+        elements = gen(make_family(kind, m, n)).elements
+        digest = hashlib.sha256(",".join(map(str, elements)).encode()).hexdigest()[:16]
+        assert (len(elements), digest) == want, (kind, m, n, gen.__name__)
 
 
 def test_stock_orders_pinned():

@@ -269,15 +269,11 @@ def test_certificate_bytes_pinned(tmp_path, capsys):
         cert = json.loads(out)
         assert list(cert) == ["claim", "verdict", "witness", "proof", "timing"]
         assert cert["timing"] is None
-        # --timing embeds wall seconds and changes nothing else; classify
-        # measures nothing, so it prints null either way
+        # --timing embeds wall seconds and changes nothing else
         code, out, _ = run(capsys, "--timing", *argv)
         timed = json.loads(out)
         assert code == expected_code and {**timed, "timing": None} == cert
-        if argv[1] == "classify":
-            assert timed["timing"] is None
-        else:
-            assert isinstance(timed["timing"], float)
+        assert isinstance(timed["timing"], float)
 
 
 # --- usage errors ------------------------------------------------------------------
