@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -36,8 +36,8 @@ from .graphs import (
     InvalidFamilyError,
     bit,
     bits_list,
+    grid_lines,
     iter_bits,
-    line_vertices,
     make_family,
     mask_connected,
     mask_of,
@@ -339,43 +339,36 @@ def min_hitting_set(b: Bramble) -> OrderCertificate:
 # --- generators --------------------------------------------------------------
 
 
-def _require_family(g: Graph, kind: str, what: str) -> tuple[int, int]:
-    """g's (m, n), or InvalidFamilyError unless g is labelled kind. Graph
-    checked the label against the edges when g was built."""
+def _require_family(g: Graph, kind: str, what: str) -> tuple[list[int], list[int]]:
+    """g's rows and columns (see grid_lines), or InvalidFamilyError unless
+    g is labelled kind. Graph checked the label against the edges when g
+    was built."""
     fam = g.family
     if fam is None or fam.kind != kind:
         raise InvalidFamilyError(f"{what} needs a {kind} graph")
-    return fam.m, fam.n
+    return grid_lines(g)
 
 
 def gen_grid_bramble(g: Graph) -> Bramble:
     """Crosses: the union of row i and column j, for every (i, j)."""
-    m, n = _require_family(g, "grid", "grid bramble")
-
-    def gen() -> Iterator[int]:
-        for i in range(m):
-            row = line_vertices(g, "row", i)
-            for j in range(n):
-                yield row | line_vertices(g, "column", j)
-
-    return Bramble.from_elements(g, gen(), "grid_b")
+    rows, cols = _require_family(g, "grid", "grid bramble")
+    return Bramble.from_elements(g, (row | col for row in rows for col in cols), "grid_b")
 
 
 def gen_prism_b1(g: Graph) -> Bramble:
     """Tall-prism bramble: a column missing one vertex plus two full rows
     that avoid the deleted point. Needs 2n < m; order is 2n."""
-    m, n = _require_family(g, "stacked_prism", "prism bramble b1")
+    rows, cols = _require_family(g, "stacked_prism", "prism bramble b1")
+    m, n = len(rows), len(cols)
     if not 2 * n < m:
         raise WrongRegimeError(f"b1 needs 2n < m, got m={m}, n={n}")
-    rows = [line_vertices(g, "row", i) for i in range(m)]
-    cols = [line_vertices(g, "column", j) for j in range(n)]
 
     def gen() -> Iterator[int]:
-        for j in range(n):
-            for d in range(m):
-                cut = cols[j] & ~bit(d * n + j)
-                for r1, r2 in combinations((r for r in range(m) if r != d), 2):
-                    yield cut | rows[r1] | rows[r2]
+        for col in cols:
+            for d, row in enumerate(rows):
+                cut = col & ~row
+                for r1, r2 in combinations(rows[:d] + rows[d + 1:], 2):
+                    yield cut | r1 | r2
 
     return Bramble.from_elements(g, gen(), "prism_b1")
 
@@ -383,43 +376,29 @@ def gen_prism_b1(g: Graph) -> Bramble:
 def gen_prism_b2(g: Graph) -> Bramble:
     """Wide-prism bramble: crosses, one row plus two cut columns, and two
     rows plus two columns cut in a common row. Needs m < 2n; order is m."""
-    m, n = _require_family(g, "stacked_prism", "prism bramble b2")
+    rows, cols = _require_family(g, "stacked_prism", "prism bramble b2")
+    m, n = len(rows), len(cols)
     if not m < 2 * n:
         raise WrongRegimeError(f"b2 needs m < 2n, got m={m}, n={n}")
-    rows = [line_vertices(g, "row", i) for i in range(m)]
-    cols = [line_vertices(g, "column", j) for j in range(n)]
 
     def gen() -> Iterator[int]:
         # crosses
-        for r in range(m):
-            for j in range(n):
-                yield rows[r] | cols[j]
+        for row in rows:
+            for col in cols:
+                yield row | col
         # one row, two columns, each column cut in a distinct row off the row
-        for r in range(m):
-            for j1, j2 in combinations(range(n), 2):
-                for d1 in range(m):
-                    if d1 == r:
-                        continue
-                    for d2 in range(m):
-                        if d2 == r or d2 == d1:
-                            continue
-                        yield (
-                            rows[r]
-                            | (cols[j1] & ~bit(d1 * n + j1))
-                            | (cols[j2] & ~bit(d2 * n + j2))
-                        )
+        for r, row in enumerate(rows):
+            others = rows[:r] + rows[r + 1:]
+            for c1, c2 in combinations(cols, 2):
+                for d1, d2 in permutations(others, 2):
+                    yield row | (c1 & ~d1) | (c2 & ~d2)
         # two rows, two columns cut in one common row avoiding both rows
         for r1, r2 in combinations(range(m), 2):
-            for j1, j2 in combinations(range(n), 2):
-                for d in range(m):
-                    if d == r1 or d == r2:
-                        continue
-                    yield (
-                        rows[r1]
-                        | rows[r2]
-                        | (cols[j1] & ~bit(d * n + j1))
-                        | (cols[j2] & ~bit(d * n + j2))
-                    )
+            pair = rows[r1] | rows[r2]
+            others = [row for d, row in enumerate(rows) if d != r1 and d != r2]
+            for c1, c2 in combinations(cols, 2):
+                for d in others:
+                    yield pair | (c1 & ~d) | (c2 & ~d)
 
     return Bramble.from_elements(g, gen(), "prism_b2")
 
@@ -429,12 +408,12 @@ def gen_prism_collapsed(g: Graph) -> Bramble:
     rows 0 and 1: element e lifts to its rows shifted down one plus its row
     0 in place. Merging a hitting set of the lifts hits every element, so
     the order stays 2n - 1. Needs m = 2n."""
-    m, n = _require_family(g, "stacked_prism", "collapsed prism bramble")
+    rows, cols = _require_family(g, "stacked_prism", "collapsed prism bramble")
+    m, n = len(rows), len(cols)
     if m != 2 * n:
         raise WrongRegimeError(f"collapsed bramble needs m = 2n, got m={m}, n={n}")
-    row0 = line_vertices(g, "row", 0)
     small = gen_prism_b2(make_family("stacked_prism", m - 1, n))
-    lifts = (e << n | e & row0 for e in small.elements)
+    lifts = (e << n | e & rows[0] for e in small.elements)
     return Bramble.from_elements(g, lifts, "prism_collapsed")
 
 
@@ -447,16 +426,14 @@ def gen_torus_cde(g: Graph) -> Bramble:
     The order reaches 2n on T7,3 but falls short at small margins: 5 on
     T5,3 and T6,3, and 6 on T6,4. gen_balanced_bramble reaches 2n on T5,3.
     """
-    m, n = _require_family(g, "toroidal_grid", "torus bramble cde")
+    rows, cols = _require_family(g, "toroidal_grid", "torus bramble cde")
+    m, n = len(rows), len(cols)
     if not m >= n + 2:
         raise WrongRegimeError(f"cde needs m >= n + 2, got m={m}, n={n}")
-    cols = [line_vertices(g, "column", j) for j in range(n)]
     # cut_row[r][c] is row r without its vertex in column c, and
     # cut_col[j][d] column j without its vertex in row d
-    cut_row = [
-        [line_vertices(g, "row", r) & ~bit(r * n + c) for c in range(n)] for r in range(m)
-    ]
-    cut_col = [[cols[j] & ~bit(d * n + j) for d in range(m)] for j in range(n)]
+    cut_row = [[row & ~col for col in cols] for row in rows]
+    cut_col = [[col & ~row for row in rows] for col in cols]
 
     def gen() -> Iterator[int]:
         for j in range(n):
@@ -510,30 +487,26 @@ def gen_torus_fg(g: Graph) -> Bramble:
     """Near-square-torus bramble of order 2n for m = n + 1. Not strict:
     shapes are a cut column plus a full row, and a cut column plus two cut
     rows. The first two rows together form a hitting set of size 2n."""
-    m, n = _require_family(g, "toroidal_grid", "torus bramble fg")
+    rows, cols = _require_family(g, "toroidal_grid", "torus bramble fg")
+    m, n = len(rows), len(cols)
     if m != n + 1:
         raise WrongRegimeError(f"fg needs m = n + 1, got m={m}, n={n}")
-    rows = [line_vertices(g, "row", i) for i in range(m)]
-    cols = [line_vertices(g, "column", j) for j in range(n)]
 
     def gen() -> Iterator[int]:
-        for j in range(n):
-            for d in range(m):
-                cut = cols[j] & ~bit(d * n + j)
+        for j, col in enumerate(cols):
+            other_cols = cols[:j] + cols[j + 1:]
+            for d, row in enumerate(rows):
+                cut = col & ~row
+                other_rows = rows[:d] + rows[d + 1:]
                 # F: cut column + one full row avoiding the cut
-                for r in range(m):
-                    if r != d:
-                        yield cut | rows[r]
+                for r in other_rows:
+                    yield cut | r
                 # G: cut column + two cut rows avoiding the cut
-                for r1, r2 in combinations((r for r in range(m) if r != d), 2):
-                    for c1 in range(n):
-                        if c1 == j:
-                            continue
-                        left = rows[r1] & ~bit(r1 * n + c1)
-                        for c2 in range(n):
-                            if c2 == j:
-                                continue
-                            yield cut | left | (rows[r2] & ~bit(r2 * n + c2))
+                for r1, r2 in combinations(other_rows, 2):
+                    for c1 in other_cols:
+                        left = cut | (r1 & ~c1)
+                        for c2 in other_cols:
+                            yield left | (r2 & ~c2)
 
     return Bramble.from_elements(g, gen(), "torus_fg")
 

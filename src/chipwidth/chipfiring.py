@@ -27,11 +27,10 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .graphs import (
-    GRID_KINDS,
     Graph,
     InvalidFamilyError,
+    grid_lines,
     iter_bits,
-    line_vertices,
     parse_ints,
 )
 
@@ -339,30 +338,28 @@ def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:
     column_twos (torus): two chips on each vertex of a column, degree 2m.
     """
     fam = g.family
-    if fam is None or fam.kind not in GRID_KINDS:
+    if fam is None:
         raise InvalidFamilyError("winning divisor generator needs a family graph")
+    # style -> (kinds it is stocked on, the line it loads, chips per vertex)
     styles = {
-        "stacked_prism": ("column_ones", "row_twos"),
-        "toroidal_grid": ("row_twos", "column_twos"),
+        "column_ones": (("stacked_prism",), "column", 1),
+        "row_twos": (("stacked_prism", "toroidal_grid"), "row", 2),
+        "column_twos": (("toroidal_grid",), "column", 2),
     }
-    allowed = styles.get(fam.kind, ())
+    allowed = tuple(s for s, (kinds, _, _) in styles.items() if fam.kind in kinds)
     if not allowed:
         raise InvalidFamilyError(f"no stock winning divisor for family {fam.kind!r}")
     if style not in allowed:
         raise InvalidFamilyError(
             f"style {style!r} is not defined on {fam.kind} (choose from {allowed})"
         )
-    if style == "column_ones":
-        mask = line_vertices(g, "column", index)
-        amount = 1
-    elif style == "row_twos":
-        mask = line_vertices(g, "row", index)
-        amount = 2
-    else:
-        mask = line_vertices(g, "column", index)
-        amount = 2
+    _, which, amount = styles[style]
+    rows, cols = grid_lines(g)
+    lines, size = (rows, "m") if which == "row" else (cols, "n")
+    if not 0 <= index < len(lines):
+        raise InvalidFamilyError(f"{which} index {index} out of range for {size}={len(lines)}")
     chips = [0] * g.n
-    for v in iter_bits(mask):
+    for v in iter_bits(lines[index]):
         chips[v] = amount
     return Divisor(tuple(chips))
 

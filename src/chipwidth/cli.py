@@ -81,7 +81,7 @@ _BRAMBLE_FAMILIES = {
 
 def _label(g: Graph) -> str:
     fam = g.family
-    if fam is not None and fam.kind in _FAMILY_LETTER:
+    if fam is not None:
         return f"{_FAMILY_LETTER[fam.kind]}{fam.m},{fam.n}"
     return f"graph({g.n}v)"
 

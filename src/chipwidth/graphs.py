@@ -9,10 +9,14 @@ id i*n + j, where m is the number of rows and n the number of columns. In a
 stacked prism (cycle x path) and a toroidal grid (cycle x cycle) a column
 induces an m-cycle; rows induce paths (prism) or n-cycles (torus).
 
+A path on k vertices is the one-column grid G(k,1) and a cycle the
+one-column prism Y(k,1); they carry those labels. grid_lines(g) gives the
+rows and columns of any labelled graph as bitmasks.
+
 Family metadata is checked once, where a Graph is built: Graph refuses a
-path, cycle, grid, prism or torus label whose formula does not give its
-edges. Every reader of g.family (rows and columns, brambles, stock
-divisors, the claims table) can therefore trust it.
+grid, prism or torus label whose formula does not give its edges. Every
+reader of g.family (rows and columns, brambles, stock divisors, the claims
+table) can therefore trust it.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ class FormatError(GraphError):
     """Malformed .gr input."""
 
 
-ELEMENTARY_KINDS = ("path", "cycle")
 GRID_KINDS = ("grid", "stacked_prism", "toroidal_grid")
-FAMILY_KINDS = ELEMENTARY_KINDS + GRID_KINDS
 
 
 def bit(v: int) -> int:
@@ -80,9 +82,8 @@ def parse_ints(words: Sequence[str], lineno: int, error: type[Exception]) -> lis
 class FamilyMeta:
     """Which named family a graph was built as, with its grid dimensions.
 
-    kind is one of path, cycle, grid, stacked_prism, toroidal_grid. For
-    grid-like kinds m counts rows and n counts columns; elementary kinds
-    store their length as m with n = 1.
+    kind is one of grid, stacked_prism, toroidal_grid; m counts rows and n
+    counts columns. A path or a cycle is a grid or a prism with n = 1.
     """
 
     kind: str
@@ -90,7 +91,7 @@ class FamilyMeta:
     n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in GRID_KINDS:
             raise InvalidFamilyError(f"unknown family kind {self.kind!r}")
 
 
@@ -198,10 +199,8 @@ def mask_connected(adj: Sequence[int], mask: int) -> bool:
 
 
 # kind -> (is the first factor a cycle, is the second a cycle); the first
-# factor has m vertices and the second n, and a path or a cycle has n = 1
+# factor has m vertices and the second n
 _FACTOR_CYCLES = {
-    "path": (False, False),
-    "cycle": (True, False),
     "grid": (False, False),
     "stacked_prism": (True, False),
     "toroidal_grid": (True, True),
@@ -209,16 +208,13 @@ _FACTOR_CYCLES = {
 
 
 def _family_edges(fam: FamilyMeta) -> list[tuple[int, int]]:
-    """Edges (u, v), u < v, of the path, cycle, grid, prism or torus that
-    fam names, vertex (i, j) at i*n + j. Raises InvalidFamilyError on sizes
-    out of range: a cycle factor needs 3 vertices."""
+    """Edges (u, v), u < v, of the grid, prism or torus that fam names,
+    vertex (i, j) at i*n + j. Raises InvalidFamilyError on sizes out of
+    range: a cycle factor needs 3 vertices."""
     m, n = fam.m, fam.n
     first, second = _FACTOR_CYCLES[fam.kind]
     low_m, low_n = (3 if first else 1), (3 if second else 1)
-    if fam.kind in ELEMENTARY_KINDS:
-        if m < low_m or n != 1:
-            raise InvalidFamilyError(f"{fam.kind} needs k >= {low_m} and n = 1, got {m}, {n}")
-    elif m < low_m or n < low_n:
+    if m < low_m or n < low_n:
         raise InvalidFamilyError(
             f"{fam.kind} needs m >= {low_m} and n >= {low_n}, got {m}, {n}"
         )
@@ -232,11 +228,13 @@ def _family_edges(fam: FamilyMeta) -> list[tuple[int, int]]:
 
 
 def make_elementary(kind: str, k: int) -> Graph:
-    """Path on k >= 1 vertices or cycle on k >= 3 vertices."""
-    if kind not in ELEMENTARY_KINDS:
-        raise InvalidFamilyError(f"elementary kind must be path or cycle, got {kind!r}")
-    fam = FamilyMeta(kind, k, 1)
-    return Graph(k, _family_edges(fam), fam)
+    """Path on k >= 1 vertices, the grid G(k,1), or cycle on k >= 3
+    vertices, the prism Y(k,1)."""
+    if kind == "path":
+        return make_family("grid", k, 1)
+    if kind == "cycle":
+        return make_family("stacked_prism", k, 1)
+    raise InvalidFamilyError(f"elementary kind must be path or cycle, got {kind!r}")
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -278,21 +276,16 @@ def family_graphs(max_vertices: int) -> Iterator[Graph]:
                 yield make_family("toroidal_grid", m, n)
 
 
-def line_vertices(g: Graph, which: str, index: int) -> int:
-    """Bitmask of one row or column of a grid-like family graph."""
+def grid_lines(g: Graph) -> tuple[list[int], list[int]]:
+    """The rows and the columns of a labelled graph as bitmasks, top to
+    bottom and left to right. Row i and column j meet in vertex i*n + j, so
+    cols[j] & ~rows[i] is column j without its row-i vertex."""
     fam = g.family
-    if fam is None or fam.kind not in GRID_KINDS:
-        raise InvalidFamilyError("row/column access needs grid-like family metadata")
+    if fam is None:
+        raise InvalidFamilyError("row/column access needs family metadata")
     m, n = fam.m, fam.n
-    if which == "row":
-        if not 0 <= index < m:
-            raise InvalidFamilyError(f"row index {index} out of range for m={m}")
-        return mask_of(index * n + j for j in range(n))
-    if which == "column":
-        if not 0 <= index < n:
-            raise InvalidFamilyError(f"column index {index} out of range for n={n}")
-        return mask_of(i * n + index for i in range(m))
-    raise InvalidFamilyError(f"which must be 'row' or 'column', got {which!r}")
+    first_col = mask_of(range(0, m * n, n))
+    return [((1 << n) - 1) << (i * n) for i in range(m)], [first_col << j for j in range(n)]
 
 
 def are_isomorphic(g: Graph, h: Graph, return_mapping: bool = False):
@@ -474,7 +467,7 @@ def read_gr(text: str) -> Graph:
             continue
         if line.startswith("c"):
             parts = line.split()
-            if len(parts) == 5 and parts[1] == "family" and parts[2] in FAMILY_KINDS:
+            if len(parts) == 5 and parts[1] == "family" and parts[2] in GRID_KINDS:
                 try:
                     family = FamilyMeta(parts[2], *parse_ints(parts[3:], lineno, ValueError))
                 except ValueError:

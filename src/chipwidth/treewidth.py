@@ -53,7 +53,6 @@ from .brambles import (
     min_hitting_set,
 )
 from .graphs import (
-    GRID_KINDS,
     Graph,
     InvalidFamilyError,
     automorphism_group,
@@ -196,23 +195,17 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationRe
         need = (1 << u) | (1 << v)
         if not any(b & need == need for b in td.bags):
             return ValidationReport(False, 2, (u, v))
-    k = td.num_bags
-    nbr = [[] for _ in range(k)]
+    # in a tree, the nodes whose bags hold v form this many components: the
+    # nodes holding v less the tree edges with v in both bags
+    parts = [0] * g.n
+    for b in td.bags:
+        for v in iter_bits(b):
+            parts[v] += 1
     for a, b in td.edges:
-        nbr[a].append(b)
-        nbr[b].append(a)
-    for v in range(g.n):
-        holding = [i for i in range(k) if td.bags[i] >> v & 1]
-        start = holding[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in nbr[x]:
-                if y not in seen and td.bags[y] >> v & 1:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(holding):
+        for v in iter_bits(td.bags[a] & td.bags[b]):
+            parts[v] -= 1
+    for v, count in enumerate(parts):
+        if count != 1:
             return ValidationReport(False, 3, v)
     return ValidationReport(True)
 
@@ -627,7 +620,7 @@ def family_claims(g: Graph) -> FamilyClaims:
     unless g is labelled a grid, prism or torus; Graph checked the label
     against the edges when g was built."""
     fam = g.family
-    if fam is None or fam.kind not in GRID_KINDS:
+    if fam is None:
         raise InvalidFamilyError("family claims need a grid, prism or torus")
     m, n = fam.m, fam.n
     lo = min(m, n)

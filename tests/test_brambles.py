@@ -35,7 +35,7 @@ from chipwidth.graphs import (
     Graph,
     InvalidFamilyError,
     bits_list,
-    line_vertices,
+    grid_lines,
     make_elementary,
     make_family,
 )
@@ -326,7 +326,8 @@ def test_grid_bramble_crosses():
     g = make_family("grid", 3, 4)
     b = gen_grid_bramble(g)
     assert len(b) == 12
-    cross = line_vertices(g, "row", 1) | line_vertices(g, "column", 2)
+    rows, cols = grid_lines(g)
+    cross = rows[1] | cols[2]
     assert cross in b.elements
     assert min_hitting_set(b).order == 3
     assert classify_family(g, b.elements).verdict == "strict_bramble"
@@ -355,7 +356,7 @@ def test_torus_cde_margin_two_order():
     b = gen_torus_cde(g)
     assert len(b) == 345
     assert classify_family(g, b.elements).verdict == "strict_bramble"
-    s = line_vertices(g, "row", 0) | mask(3, 4)  # (1,0) and (1,1)
+    s = grid_lines(g)[0][0] | mask(3, 4)  # row 0, (1,0) and (1,1)
     assert all(s & e for e in b.elements)
     assert min_hitting_set(b).order == 5
 
@@ -378,7 +379,8 @@ def test_torus_fg_non_strict_order():
     assert not (b.elements[i] & b.elements[j])
     cert = min_hitting_set(b)
     assert cert.order == 6
-    two_rows = line_vertices(g, "row", 0) | line_vertices(g, "row", 1)
+    rows, _ = grid_lines(g)
+    two_rows = rows[0] | rows[1]
     assert all(two_rows & e for e in b.elements)
 
 

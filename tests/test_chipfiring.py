@@ -348,8 +348,16 @@ def test_winning_generator_rejections():
         gen_winning_divisor(make_family("toroidal_grid", 4, 3), "column_ones")
     with pytest.raises(InvalidFamilyError):
         gen_winning_divisor(make_family("grid", 3, 3), "row_twos")
-    with pytest.raises(InvalidFamilyError):
-        gen_winning_divisor(make_elementary("cycle", 5), "row_twos")
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    with pytest.raises(InvalidFamilyError, match="needs a family graph"):
+        gen_winning_divisor(c5, "row_twos")
+    with pytest.raises(InvalidFamilyError, match="column index 3 out of range for n=3"):
+        gen_winning_divisor(make_family("stacked_prism", 5, 3), "column_ones", index=3)
+    with pytest.raises(InvalidFamilyError, match="row index -1 out of range for m=4"):
+        gen_winning_divisor(make_family("toroidal_grid", 4, 3), "row_twos", index=-1)
+    # a labelled cycle is the prism Y5,1, whose one-vertex rows take two chips
+    y51 = make_elementary("cycle", 5)
+    assert gen_winning_divisor(y51, "row_twos", index=4).chips == (0, 0, 0, 0, 2)
 
 
 # --- divisor file format -----------------------------------------------------------------

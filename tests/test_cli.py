@@ -230,6 +230,37 @@ def test_gon_winning_needs_family_metadata(tmp_path, capsys):
     assert code == 1 and out == "" and "no stock winning divisor for family 'grid'" in err
 
 
+# the divisor file `gon winning` writes for each stock style: (family, m, n,
+# style, index) -> text
+WINNING_DIVISORS = {
+    ("prism", 5, 3, "column_ones", 0): "d 15 5\n1 1\n4 1\n7 1\n10 1\n13 1\n",
+    ("prism", 5, 3, "column_ones", 2): "d 15 5\n3 1\n6 1\n9 1\n12 1\n15 1\n",
+    ("prism", 7, 2, "row_twos", 0): "d 14 4\n1 2\n2 2\n",
+    ("torus", 4, 3, "row_twos", 0): "d 12 6\n1 2\n2 2\n3 2\n",
+    ("torus", 4, 3, "column_twos", 0): "d 12 8\n1 2\n4 2\n7 2\n10 2\n",
+}
+
+
+def test_gon_winning_divisor_text_pinned(tmp_path, capsys):
+    gr = str(tmp_path / "g.gr")
+    for (family, m, n, style, index), text in WINNING_DIVISORS.items():
+        run(capsys, "gen", family, str(m), str(n), "-o", gr)
+        code, out, err = run(capsys, "gon", "winning", gr, "--style", style,
+                             "--index", str(index))
+        assert (code, out, err) == (0, text, ""), (family, m, n, style, index)
+
+
+def test_gon_winning_index_out_of_range(tmp_path, capsys):
+    # Y5,3 has columns 0..2; a negative index must not wrap to the last one
+    gr = str(tmp_path / "y53.gr")
+    run(capsys, "gen", "prism", "5", "3", "-o", gr)
+    for index in ("-1", "3"):
+        code, out, err = run(capsys, "gon", "winning", gr, "--style", "column_ones",
+                             "--index", index)
+        assert code == 1 and out == "", index
+        assert err == f"error: column index {index} out of range for n=3\n"
+
+
 # --- certificate bytes ------------------------------------------------------------
 
 # SHA-256 of the stdout of each certificate command: a change of key order,

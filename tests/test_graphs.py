@@ -25,7 +25,7 @@ from chipwidth.graphs import (
     bits_list,
     cartesian_product,
     family_graphs,
-    line_vertices,
+    grid_lines,
     make_elementary,
     make_family,
     read_gr,
@@ -51,11 +51,14 @@ def grid(m: int, n: int) -> Graph:
 
 
 def test_elementary_counts():
+    # a path is the one-column grid G(k,1) and a cycle the prism Y(k,1)
     p = make_elementary("path", 5)
     assert p.n == 5 and len(p.edges) == 4
+    assert p.family == FamilyMeta("grid", 5, 1) and p.edges == grid(5, 1).edges
     c = make_elementary("cycle", 6)
     assert c.n == 6 and len(c.edges) == 6
     assert all(c.degree(v) == 2 for v in range(6))
+    assert c.family == FamilyMeta("stacked_prism", 6, 1) and c.edges == prism(6, 1).edges
     assert make_elementary("path", 1).n == 1
 
 
@@ -131,10 +134,14 @@ def test_graph_refuses_family_metadata_that_does_not_fit():
     with pytest.raises(InvalidFamilyError, match="not those of toroidal_grid 4 3"):
         Graph(12, t.relabeled(perm).edges, t.family)
     c5 = make_elementary("cycle", 5)
-    with pytest.raises(InvalidFamilyError, match="not those of path 5 1"):
-        Graph(5, c5.edges, FamilyMeta("path", 5, 1))
+    with pytest.raises(InvalidFamilyError, match="not those of grid 5 1"):
+        Graph(5, c5.edges, FamilyMeta("grid", 5, 1))
     # the label that fits is kept
-    assert Graph(5, c5.edges, FamilyMeta("cycle", 5, 1)).family == c5.family
+    assert Graph(5, c5.edges, FamilyMeta("stacked_prism", 5, 1)).family == c5.family
+    # a path or a cycle is no kind of its own
+    for kind in ("path", "cycle"):
+        with pytest.raises(InvalidFamilyError, match="unknown family kind"):
+            FamilyMeta(kind, 5, 1)
 
 
 def test_graph_constructor_rejects_loops():
@@ -150,29 +157,33 @@ def test_graph_dedups_parallel_edges():
 # --- rows, columns, neighborhoods ---------------------------------------------
 
 
-def test_line_vertices_prism():
-    y = prism(5, 3)
-    col = bits_list(line_vertices(y, "column", 1))
-    assert col == [i * 3 + 1 for i in range(5)]
-    row = bits_list(line_vertices(y, "row", 2))
-    assert row == [6, 7, 8]
+def test_grid_lines_prism():
+    rows, cols = grid_lines(prism(5, 3))
+    assert len(rows) == 5 and len(cols) == 3
+    assert bits_list(cols[1]) == [i * 3 + 1 for i in range(5)]
+    assert bits_list(rows[2]) == [6, 7, 8]
+    # a column cut by a crossing row loses exactly their common vertex
+    assert bits_list(cols[1] & ~rows[2]) == [1, 4, 10, 13]
 
 
-def test_line_vertices_torus_and_grid():
-    t = torus(4, 3)
-    assert len(bits_list(line_vertices(t, "column", 0))) == 4
-    g = grid(3, 4)
-    assert bits_list(line_vertices(g, "row", 0)) == [0, 1, 2, 3]
+def test_grid_lines_torus_and_grid():
+    rows, cols = grid_lines(torus(4, 3))
+    assert len(bits_list(cols[0])) == 4
+    assert all(r & c and (r & c).bit_count() == 1 for r in rows for c in cols)
+    assert bits_list(grid_lines(grid(3, 4))[0][0]) == [0, 1, 2, 3]
+    # rows and columns each partition the vertices
+    full = torus(4, 3).full_mask
+    assert sum(rows) == sum(cols) == full
 
 
-def test_line_vertices_errors():
-    y = prism(5, 3)
+def test_grid_lines_errors():
+    # a path is the one-column grid; an unlabelled graph has no lines
+    rows, cols = grid_lines(make_elementary("path", 4))
+    assert rows == [1, 2, 4, 8] and cols == [15]
     with pytest.raises(InvalidFamilyError):
-        line_vertices(y, "column", 3)
+        grid_lines(Graph(4, [(0, 1), (1, 2), (2, 3)]))
     with pytest.raises(InvalidFamilyError):
-        line_vertices(y, "diagonal", 0)
-    with pytest.raises(InvalidFamilyError):
-        line_vertices(make_elementary("path", 4), "row", 0)
+        grid_lines(prism(5, 3).relabeled(list(range(15))))
 
 
 def test_neighborhood_and_connectivity():
@@ -390,5 +401,7 @@ def test_gr_rejections():
         read_gr("p tw 3 2\n1 \u0663\n2 3\n")  # ARABIC-INDIC DIGIT THREE
     # a family comment with such a number is ignored, as a non-integer one is
     path = "p tw 10 9\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 10))
-    assert read_gr("c family path 1_0 1\n" + path).family is None
-    assert read_gr("c family path 10 1\n" + path).family == FamilyMeta("path", 10, 1)
+    assert read_gr("c family grid 1_0 1\n" + path).family is None
+    assert read_gr("c family grid 10 1\n" + path).family == FamilyMeta("grid", 10, 1)
+    # a path is labelled as the grid G10,1: a path comment names no kind
+    assert read_gr("c family path 10 1\n" + path).family is None

@@ -1,16 +1,18 @@
 """Names other code reaches by string must exist: the functions the
 benchmark tracer wraps, and the package's export list. Names a module
-imports must be used."""
+imports must be used. The README's python example must run."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def test_traced_functions_exist():
@@ -50,3 +52,11 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused, unused
+
+
+def test_readme_quick_start_runs():
+    # the quick start is the one python block in the README; an API change
+    # that breaks it must fail here
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

@@ -41,6 +41,7 @@ from chipwidth.treewidth import (
     SolverLimits,
     TdFormatError,
     TreeDecomposition,
+    ValidationReport,
     _Budget,
     _decide_width,
     _orbit_roots,
@@ -106,6 +107,56 @@ def test_validate_rejects_non_tree():
                                      ((0, 1), (0, 1)), 3)
     with pytest.raises(NotATreeError):
         validate_tree_decomposition(P3, disconnected)
+
+
+def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
+    """The three conditions checked directly: condition 3 by a search from
+    the first node holding v, over the nodes that hold v."""
+    k = td.num_bags
+    for v in range(g.n):
+        if not any(b >> v & 1 for b in td.bags):
+            return ValidationReport(False, 1, v)
+    for u, v in g.edges:
+        if not any(b >> u & 1 and b >> v & 1 for b in td.bags):
+            return ValidationReport(False, 2, (u, v))
+    nbr = [[] for _ in range(k)]
+    for a, b in td.edges:
+        nbr[a].append(b)
+        nbr[b].append(a)
+    for v in range(g.n):
+        holding = [i for i in range(k) if td.bags[i] >> v & 1]
+        seen = {holding[0]}
+        stack = [holding[0]]
+        while stack:
+            x = stack.pop()
+            for y in nbr[x]:
+                if y not in seen and td.bags[y] >> v & 1:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != len(holding):
+            return ValidationReport(False, 3, v)
+    return ValidationReport(True)
+
+
+def test_validate_matches_reference_on_random_trees():
+    # random graphs and bag trees, with nine edges in ten put in some bag
+    # so that each verdict comes up often
+    rng = random.Random(20260319)
+    failures = {1: 0, 2: 0, 3: 0, None: 0}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        k = rng.randint(1, 6)
+        bags = [mask(*(v for v in range(n) if rng.random() < 0.3)) for _ in range(k)]
+        for u, v in g.edges:
+            if rng.random() < 0.9:
+                bags[rng.randrange(k)] |= mask(u, v)
+        edges = tuple((i, rng.randrange(i)) for i in range(1, k))
+        td = TreeDecomposition(tuple(bags), edges, n)
+        report = validate_tree_decomposition(g, td)
+        assert report == reference_validate(g, td), td
+        failures[report.condition] += 1
+    assert min(failures.values()) >= 100, failures
 
 
 def test_width_is_largest_bag_minus_one():
@@ -645,7 +696,10 @@ def test_family_claims_refuse_unverified_metadata():
         with pytest.raises(InvalidFamilyError):
             call(g)
     with pytest.raises(InvalidFamilyError):
-        family_claims(make_elementary("cycle", 5))
+        family_claims(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+    # a labelled cycle is the prism Y5,1, whose claims hold: tw 2, gon 2
+    claims = family_claims(make_elementary("cycle", 5))
+    assert (claims.low, claims.high, claims.style) == (2, 2, "row_twos")
 
 
 def test_family_witness_grid_and_prism():
