@@ -16,12 +16,19 @@ skips every v with d(v) >= 1, where d - (v) is already effective, and
 otherwise burns from v starting at d - (v): it stops with "survives" as
 soon as v is out of debt, because firing sets without v only adds chips
 to v, and with "loses" when the fire reaches every vertex.
+
+exact_gonality runs that first burn for many divisors at once. Almost
+every divisor it enumerates loses at its lowest chipless vertex in the
+first round, so after a scalar head each degree goes in runs, and one
+bit-sliced burn over big ints (bit i for the i-th divisor of the run)
+settles those divisors together. Only the divisors it leaves open get the
+scalar winning test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 from math import comb
 from operator import sub
 from typing import Iterable, Iterator
@@ -37,6 +44,11 @@ from .graphs import (
 # Most divisors exact_gonality enumerates, over all degrees; read at each
 # call. A degree that would pass it ends the search with lower_bound_only.
 ENUMERATION_CAP = 10_000_000
+
+# exact_gonality tests the first _RUN divisors of each degree one at a time,
+# then burns the rest in runs of _RUN, 2 * _RUN, 4 * _RUN, ...; a last run
+# shorter than _RUN is tested one at a time too.
+_RUN = 64
 
 
 class ChipFiringError(Exception):
@@ -294,19 +306,75 @@ def _effective_divisors(n: int, degree: int) -> Iterator[tuple[int, ...]]:
         yield tuple(map(sub, (*sums, degree), (0, *sums)))
 
 
+def _first_burn(nbrs: list[list[int]], run: list[tuple[int, ...]], k: int) -> str:
+    """Which divisors of a run lose at their lowest chipless vertex in the
+    first round of its burn: character i is "1" when run[i] does.
+
+    Bit-sliced over big ints, with the most significant of len(run) bits
+    for run[0]. below[w][t - 1] marks the divisors with fewer than t chips
+    on w; heat[t - 1] marks those with at least t burnt neighbours of w, so
+    w ignites where heat[t - 1] & below[w][t - 1] for some t. Levels stop
+    at k + 1, the least heat that beats every chip count of degree k.
+    Each burn starts at the divisor's lowest chipless vertex, whose chips
+    the first round never reads, and sweeps repeat until no vertex
+    ignites: a monotone burn ends in the same set in any order.
+    """
+    n = len(nbrs)
+    size = len(run)
+    full = (1 << size) - 1
+    data = bytes(chain.from_iterable(run))
+    below = []
+    for w in range(n):
+        column = data[w::n]
+        below.append([int(column.translate(b"1" * t + b"0" * (256 - t)), 2)
+                      for t in range(1, min(len(nbrs[w]), k + 1) + 1)])
+    burnt = []
+    chipped = full  # divisors with a chip on every vertex so far
+    for w in range(n):
+        burnt.append(below[w][0] & chipped)
+        chipped &= ~below[w][0]
+    spreading = True
+    while spreading:
+        spreading = False
+        for w in range(n):
+            levels = below[w]
+            heat = [0] * len(levels)
+            for u in nbrs[w]:
+                x = burnt[u]
+                for t in range(len(heat) - 1, 0, -1):
+                    heat[t] |= heat[t - 1] & x
+                heat[0] |= x
+            caught = burnt[w]
+            for h, b in zip(heat, levels):
+                caught |= h & b
+            if caught != burnt[w]:
+                burnt[w] = caught
+                spreading = True
+    settled = full
+    for b in burnt:
+        settled &= b
+    return format(settled, f"0{size}b")
+
+
 def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
     """Least degree of a winning divisor, by plain exhaustive enumeration.
 
     Degrees are scanned upward; within a degree, divisors are tried in
     lexicographic order, so the reported winner is the lexicographically
-    least one of minimum degree. No symmetry reduction is attempted. Each
-    divisor gets the winning test of is_winning_divisor (the burn from each
-    v with d(v) = 0, stopping once v is out of debt), at O(E) per burning
-    round.
+    least one of minimum degree. No symmetry reduction is attempted. The
+    first _RUN divisors of a degree get the winning test of
+    is_winning_divisor one by one (the burn from each v with d(v) = 0,
+    stopping once v is out of debt, at O(E) per round). The rest go in
+    doubling runs through _first_burn, and a divisor it settles loses at
+    its lowest chipless vertex after one test, as the scalar test would
+    find; every other divisor gets the scalar test, in order. So does a
+    last run shorter than _RUN, and every divisor of 256 chips or more.
     """
     nbrs = _neighbor_lists(g, "the gonality game")
     if max_degree is None:
         max_degree = g.n  # one chip everywhere always wins
+    if max_degree < 0:
+        raise ChipFiringError(f"max_degree must be at least 0, got {max_degree}")
     checked = 0
     reductions = 0
     last_losing: list[tuple[tuple[int, ...], int]] = []
@@ -316,15 +384,30 @@ def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
             return GonalityResult(None, "lower_bound_only", None,
                                   tuple(last_losing), k, checked, reductions)
         losing: list[tuple[tuple[int, ...], int]] = []
-        for chips in _effective_divisors(g.n, k):
-            checked += 1
-            fail_v = _losing_vertex(nbrs, chips)
-            if fail_v is None:
-                reductions += chips.count(0)
-                return GonalityResult(k, "exact", Divisor(chips),
-                                      tuple(last_losing), k, checked, reductions)
-            reductions += chips[:fail_v + 1].count(0)
-            losing.append((chips, fail_v))
+        divisors = _effective_divisors(g.n, k)
+        # the head is drawn lazily, since a winner there ends the search
+        run: Iterable[tuple[int, ...]] = islice(divisors, _RUN)
+        settled = "0" * _RUN
+        size = _RUN
+        while True:
+            for chips, first in zip(run, settled):
+                checked += 1
+                if first == "1":
+                    fail_v = chips.index(0)
+                else:
+                    fail_v = _losing_vertex(nbrs, chips)
+                    if fail_v is None:
+                        reductions += chips.count(0)
+                        return GonalityResult(k, "exact", Divisor(chips),
+                                              tuple(last_losing), k, checked, reductions)
+                reductions += chips[:fail_v + 1].count(0)
+                losing.append((chips, fail_v))
+            run = list(islice(divisors, size))
+            if not run:
+                break
+            batched = len(run) >= _RUN and k < 256
+            settled = _first_burn(nbrs, run, k) if batched else "0" * len(run)
+            size *= 2
         last_losing = losing
     return GonalityResult(None, "lower_bound_only", None,
                           tuple(last_losing), max_degree + 1, checked, reductions)

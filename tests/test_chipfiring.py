@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from math import comb
@@ -15,6 +16,7 @@ from chipwidth.chipfiring import (
     ChipFiringError,
     Divisor,
     FiringScript,
+    GonalityResult,
     _effective_divisors,
     apply_firing_script,
     divisors_equivalent,
@@ -291,6 +293,134 @@ def test_reductions_counter_pinned(kind, m, n, reductions):
     g = make_family(kind, m, n)
     assert exact_gonality(g).reductions == reductions
     assert reference_gonality(g)[4] == reductions
+
+
+def scalar_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
+    """exact_gonality with one scalar winning test per divisor, as it ran
+    before the bit-sliced first burn: the reference for the batched one."""
+    nbrs = chipfiring._neighbor_lists(g, "the gonality game")
+    if max_degree is None:
+        max_degree = g.n
+    checked = 0
+    reductions = 0
+    last_losing: list = []
+    for k in range(max_degree + 1):
+        count = comb(g.n + k - 1, k) if k else 1
+        if checked + count > chipfiring.ENUMERATION_CAP:
+            return GonalityResult(None, "lower_bound_only", None,
+                                  tuple(last_losing), k, checked, reductions)
+        losing = []
+        for chips in _effective_divisors(g.n, k):
+            checked += 1
+            fail_v = chipfiring._losing_vertex(nbrs, chips)
+            if fail_v is None:
+                reductions += chips.count(0)
+                return GonalityResult(k, "exact", Divisor(chips),
+                                      tuple(last_losing), k, checked, reductions)
+            reductions += chips[:fail_v + 1].count(0)
+            losing.append((chips, fail_v))
+        last_losing = losing
+    return GonalityResult(None, "lower_bound_only", None,
+                          tuple(last_losing), max_degree + 1, checked, reductions)
+
+
+def random_connected_graph(rng: random.Random) -> Graph:
+    n = rng.randint(7, 12)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+    p = rng.uniform(0.1, 0.45)
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph(n, sorted(edges))
+
+
+def wheel_with_leaves(rim: int, leaves: int) -> Graph:
+    """Hub 0 on a rim cycle 1..rim, plus a pendant vertex on each of the
+    first `leaves` rim vertices."""
+    edges = [(0, v) for v in range(1, rim + 1)]
+    edges += [(v, v % rim + 1) for v in range(1, rim + 1)]
+    edges += [(v, rim + v) for v in range(1, leaves + 1)]
+    return Graph(rim + leaves + 1, edges)
+
+
+def clique_with_tail(k: int, tail: int) -> Graph:
+    """K_k with a path of `tail` more vertices hanging off vertex k - 1."""
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges += [(v, v + 1) for v in range(k - 1, k + tail - 1)]
+    return Graph(k + tail, edges)
+
+
+def test_batched_gonality_matches_scalar_loop(monkeypatch):
+    first_burn = chipfiring._first_burn
+    marks = {"0": 0, "1": 0}
+
+    def counted(nbrs, run, k):
+        settled = first_burn(nbrs, run, k)
+        marks["0"] += settled.count("0")
+        marks["1"] += settled.count("1")
+        return settled
+
+    monkeypatch.setattr(chipfiring, "_first_burn", counted)
+    rng = random.Random(20)
+    graphs = [random_connected_graph(rng) for _ in range(40)]
+    # degree-1 vertices beside hubs of degree 5 to 8
+    graphs += [wheel_with_leaves(8, 3), wheel_with_leaves(5, 5), clique_with_tail(6, 2)]
+    for g in graphs:
+        res = exact_gonality(g)
+        assert res == scalar_gonality(g)
+        assert res.status == "exact"
+        low = exact_gonality(g, max_degree=res.gonality - 1)
+        assert low == scalar_gonality(g, max_degree=res.gonality - 1)
+        assert low.status == "lower_bound_only"
+    # runs were burnt, and some of their divisors fell back to the scalar test
+    assert marks["1"] > 10_000 and marks["0"] > 1_000
+
+
+@pytest.mark.parametrize("kind,m,n", [
+    ("stacked_prism", 4, 2),
+    ("toroidal_grid", 3, 3),
+    ("toroidal_grid", 4, 3),
+    ("stacked_prism", 5, 3),
+    ("toroidal_grid", 5, 3),
+])
+def test_batched_gonality_matches_scalar_loop_on_families(kind, m, n):
+    g = make_family(kind, m, n)
+    assert exact_gonality(g) == scalar_gonality(g)
+
+
+@pytest.mark.parametrize("kind,m,n,digest,checked,reductions", [
+    # recorded before the bit-sliced first burn: sha256 of repr(losing_proof)
+    ("toroidal_grid", 4, 3,
+     "c5b681b273b4a627beb8ebc939ac822aaff715153857b9cce6759131504f8a5d", 6204, 6359),
+    ("stacked_prism", 5, 3,
+     "f671a18e4c17c1bc9ca751f548ac043d455de9a8368977ee5897727dd1884237", 8802, 9082),
+    ("toroidal_grid", 5, 3,
+     "58fb1d19d9831b02974273c565bb2e637c4a2d984aed2730514d7d3a9e0ae9ce", 15520, 15714),
+], ids=["T4,3", "Y5,3", "T5,3"])
+def test_losing_proof_pinned(kind, m, n, digest, checked, reductions):
+    res = exact_gonality(make_family(kind, m, n))
+    assert hashlib.sha256(repr(res.losing_proof).encode()).hexdigest() == digest
+    assert (res.divisors_checked, res.reductions) == (checked, reductions)
+
+
+@pytest.mark.parametrize("kind,m,n", [("toroidal_grid", 4, 3), ("toroidal_grid", 5, 3)])
+def test_first_burn_settles_most_divisors(monkeypatch, kind, m, n):
+    losing_vertex = chipfiring._losing_vertex
+    calls = 0
+
+    def counted(nbrs, chips):
+        nonlocal calls
+        calls += 1
+        return losing_vertex(nbrs, chips)
+
+    monkeypatch.setattr(chipfiring, "_losing_vertex", counted)
+    res = exact_gonality(make_family(kind, m, n))
+    # 469 of 6,204 and 607 of 15,520 reach the scalar test
+    assert 0 < calls * 10 < res.divisors_checked
+
+
+def test_negative_max_degree_refused():
+    with pytest.raises(ChipFiringError, match="max_degree"):
+        exact_gonality(C4, max_degree=-1)
+    assert exact_gonality(C4, max_degree=0).lower == 1
 
 
 def test_gonality_t44_exact_with_full_losing_proof():

@@ -261,6 +261,15 @@ def test_gon_winning_index_out_of_range(tmp_path, capsys):
         assert err == f"error: column index {index} out of range for n=3\n"
 
 
+def test_gon_exact_negative_max_degree(tmp_path, capsys):
+    # a lower bound of 0 from no divisors at all is no certificate
+    gr = str(tmp_path / "y42.gr")
+    run(capsys, "gen", "prism", "4", "2", "-o", gr)
+    code, out, err = run(capsys, "gon", "exact", gr, "--max-degree", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: max_degree must be at least 0, got -1\n"
+
+
 # --- certificate bytes ------------------------------------------------------------
 
 # SHA-256 of the stdout of each certificate command: a change of key order,
