@@ -221,24 +221,6 @@ def q_reduce(g: Graph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     return Divisor(tuple(chips)), FiringScript(tuple(script)).normalized()
 
 
-def divisors_equivalent(
-    g: Graph, d1: Divisor, d2: Divisor
-) -> tuple[bool, FiringScript | None]:
-    """Same divisor class? If so, also a script with d1 - L s = d2."""
-    _check_divisor(g, d1)
-    _check_divisor(g, d2)
-    if d1.degree != d2.degree:
-        return False, None
-    r1, s1 = q_reduce(g, d1, 0)
-    r2, s2 = q_reduce(g, d2, 0)
-    if r1.chips != r2.chips:
-        return False, None
-    diff = FiringScript(
-        tuple(a - b for a, b in zip(s1.counts, s2.counts))
-    ).normalized()
-    return True, diff
-
-
 def _losing_vertex(nbrs: list[list[int]], chips: tuple[int, ...]) -> int | None:
     """Lowest v whose v-reduced form of d - (v) is in debt at v, or None.
 

@@ -38,7 +38,14 @@ class FormatError(GraphError):
     """Malformed .gr input."""
 
 
-GRID_KINDS = ("grid", "stacked_prism", "toroidal_grid")
+# kind -> (is the first factor a cycle, is the second a cycle); the first
+# factor has m vertices and the second n
+_FACTOR_CYCLES = {
+    "grid": (False, False),
+    "stacked_prism": (True, False),
+    "toroidal_grid": (True, True),
+}
+GRID_KINDS = tuple(_FACTOR_CYCLES)
 
 
 def bit(v: int) -> int:
@@ -92,7 +99,9 @@ class FamilyMeta:
 
     def __post_init__(self) -> None:
         if self.kind not in GRID_KINDS:
-            raise InvalidFamilyError(f"unknown family kind {self.kind!r}")
+            raise InvalidFamilyError(
+                f"unknown family kind {self.kind!r}, expected one of {GRID_KINDS}"
+            )
 
 
 class Graph:
@@ -198,15 +207,6 @@ def mask_connected(adj: Sequence[int], mask: int) -> bool:
     return seen == mask
 
 
-# kind -> (is the first factor a cycle, is the second a cycle); the first
-# factor has m vertices and the second n
-_FACTOR_CYCLES = {
-    "grid": (False, False),
-    "stacked_prism": (True, False),
-    "toroidal_grid": (True, True),
-}
-
-
 def _family_edges(fam: FamilyMeta) -> list[tuple[int, int]]:
     """Edges (u, v), u < v, of the grid, prism or torus that fam names,
     vertex (i, j) at i*n + j. Raises InvalidFamilyError on sizes out of
@@ -227,39 +227,13 @@ def _family_edges(fam: FamilyMeta) -> list[tuple[int, int]]:
     return edges
 
 
-def make_elementary(kind: str, k: int) -> Graph:
-    """Path on k >= 1 vertices, the grid G(k,1), or cycle on k >= 3
-    vertices, the prism Y(k,1)."""
-    if kind == "path":
-        return make_family("grid", k, 1)
-    if kind == "cycle":
-        return make_family("stacked_prism", k, 1)
-    raise InvalidFamilyError(f"elementary kind must be path or cycle, got {kind!r}")
-
-
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product; vertex (a, b) of g x h gets id a*|V(h)| + b.
-    The result carries no family metadata."""
-    nh = h.n
-    edges: list[tuple[int, int]] = []
-    for a in range(g.n):
-        base = a * nh
-        for b, c in h.edges:
-            edges.append((base + b, base + c))
-    for a, c in g.edges:
-        for b in range(nh):
-            edges.append((a * nh + b, c * nh + b))
-    return Graph(g.n * nh, edges)
-
-
 def make_family(kind: str, m: int, n: int) -> Graph:
     """Grid (path x path), stacked prism (cycle x path), or torus (cycle x cycle).
 
     Rows are copies of the second factor: vertex (i, j) -> i*n + j with
-    0 <= i < m, 0 <= j < n.
+    0 <= i < m, 0 <= j < n. A path on k vertices is make_family("grid",
+    k, 1) and a cycle make_family("stacked_prism", k, 1).
     """
-    if kind not in GRID_KINDS:
-        raise InvalidFamilyError(f"family kind must be one of {GRID_KINDS}, got {kind!r}")
     fam = FamilyMeta(kind, m, n)
     return Graph(m * n, _family_edges(fam), fam)
 
@@ -286,25 +260,6 @@ def grid_lines(g: Graph) -> tuple[list[int], list[int]]:
     m, n = fam.m, fam.n
     first_col = mask_of(range(0, m * n, n))
     return [((1 << n) - 1) << (i * n) for i in range(m)], [first_col << j for j in range(n)]
-
-
-def are_isomorphic(g: Graph, h: Graph, return_mapping: bool = False):
-    """Backtracking isomorphism test with degree pruning.
-
-    Suited to the small graphs handled here (a few dozen vertices). The
-    mapping, when requested, sends g-vertex v to mapping[v] in h.
-    """
-    ok = (
-        g.n == h.n
-        and g.num_edges == h.num_edges
-        and sorted(map(int.bit_count, g.adj)) == sorted(map(int.bit_count, h.adj))
-    )
-    mapping = [-1] * g.n
-    if ok:
-        ok = _extend(g, h, _search_order(g), mapping, 0)
-    if return_mapping:
-        return ok, (mapping if ok else None)
-    return ok
 
 
 # Automorphism groups larger than this are replaced by the identity alone:
@@ -347,7 +302,7 @@ def automorphism_group(g: Graph) -> list[list[int]]:
             mapping = identity[:]
             for u in order[i:]:
                 mapping[u] = -1
-            if not _extend(g, g, order, mapping, i, 1 << w):
+            if not _extend(g, order, mapping, i, 1 << w):
                 continue
             found.append(mapping)
             todo = list(orbit)
@@ -369,44 +324,43 @@ def automorphism_group(g: Graph) -> list[list[int]]:
     return group
 
 
-def _extend(g: Graph, h: Graph, order: list[int], mapping: list[int], i: int,
-            allowed: int = -1) -> bool:
-    """Complete mapping to an isomorphism from g to h by backtracking.
+def _extend(g: Graph, order: list[int], mapping: list[int], i: int, allowed: int) -> bool:
+    """Complete mapping to an automorphism of g by backtracking.
 
-    mapping sends order[:i] into h and holds -1 elsewhere; order[i] may go
+    mapping sends order[:i] into g and holds -1 elsewhere; order[i] may go
     only to the vertices in the bitmask allowed. Returns whether a
     completion exists, which is then left in mapping.
     """
-    n, full = g.n, h.full_mask
-    gadj, hadj = g.adj, h.adj
-    gmask = hmask = 0
+    n, full, adj = g.n, g.full_mask, g.adj
+    # mapped holds order[:j] and taken their images
+    mapped = taken = 0
     for v in order[:i]:
-        gmask |= 1 << v
-        hmask |= 1 << mapping[v]
+        mapped |= 1 << v
+        taken |= 1 << mapping[v]
 
     def step(j: int, allowed: int) -> bool:
-        nonlocal gmask, hmask
+        nonlocal mapped, taken
         if j == n:
             return True
         v = order[j]
         # an image of v is adjacent to the images of its mapped neighbours
         # and to no other mapped vertex
         want = 0
-        pool = full & allowed & ~hmask
-        for u in iter_bits(gadj[v] & gmask):
+        pool = full & allowed & ~taken
+        for u in iter_bits(adj[v] & mapped):
             want |= 1 << mapping[u]
-            pool &= hadj[mapping[u]]
-        dv = gadj[v].bit_count()
+            pool &= adj[mapping[u]]
+        dv = adj[v].bit_count()
         for w in iter_bits(pool):
-            if hadj[w].bit_count() != dv or hadj[w] & hmask != want:
+            if adj[w].bit_count() != dv or adj[w] & taken != want:
                 continue
             mapping[v] = w
-            gmask |= 1 << v
-            hmask |= 1 << w
+            mapped |= 1 << v
+            taken |= 1 << w
             if step(j + 1, -1):
                 return True
-            gmask ^= 1 << v
-            hmask ^= 1 << w
+            mapped ^= 1 << v
+            taken ^= 1 << w
         mapping[v] = -1
         return False
 
@@ -482,6 +436,13 @@ def read_gr(text: str) -> Graph:
             n, declared_edges = parse_ints(parts[2:], lineno, FormatError)
             if n < 1:
                 raise FormatError("graph must have at least one vertex")
+            # refused here, before n sizes anything: a connected graph on n
+            # vertices has at least n - 1 edges, and each is a line of input
+            if declared_edges < n - 1:
+                raise FormatError(
+                    f"line {lineno}: a connected graph on {n} vertices needs at least "
+                    f"{n - 1} edges, {declared_edges} declared"
+                )
         else:
             if n == -1:
                 raise FormatError(f"line {lineno}: edge before problem line")

@@ -13,17 +13,19 @@ exact value together with a witness elimination order.
 The search visits every feasible prefix at most once, which makes it the
 classic subset dynamic program in top-down form. It also uses the
 automorphism group of the graph, computed from its edges alone, so a
-relabelled graph or one without family metadata gets the same symmetry:
-first moves are one vertex per orbit, and a prefix whose image under some
-automorphism was refuted is skipped at every depth. The path keeps the
-images of the prefix under the whole group, and a refuted prefix is
-memoized by its mask and by the least of its images. A group larger than
-graphs.MAX_GROUP_ORDER is replaced by the identity. The group and its
-image table are built once per graph, and only when a search runs. Only
-infeasible subtrees are skipped, so the witness order, and with it the
-decomposition, is the one the search finds without symmetry. It runs under a state cap
-and a wall-clock budget (60 s by default) and reports bounds when either
-runs out.
+relabelled graph or one without family metadata gets the same symmetry: a
+prefix whose image under some automorphism was refuted is skipped at every
+depth. The path keeps the images of the prefix under the whole group, and a
+refuted prefix is memoized by its mask and by the least of its images. That
+memo also keeps one first move per orbit: the first moves go in ascending
+order, so the least vertex of an orbit comes first, and once it is refuted
+every other vertex of its orbit has the same key and is skipped uncounted.
+A group larger than graphs.MAX_GROUP_ORDER is replaced by the identity. The
+group and its image table are built once per graph, and only when a search
+runs. Only infeasible subtrees are skipped, so the witness order, and with
+it the decomposition, is the one the search finds without symmetry. It runs
+under a state cap and a wall-clock budget (60 s by default) and reports
+bounds when either runs out.
 
 A lower bound enters the search from two sources, and the search starts at
 the larger: a minor, contraction_degeneracy, whose minimum degree bounds
@@ -332,12 +334,6 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
     return order, width
 
 
-def _orbit_roots(group: list[list[int]]) -> list[int]:
-    # the least vertex of each orbit, ascending; enough first moves, since
-    # an order starting anywhere else has an image starting there
-    return [v for v in range(len(group[0])) if all(p[v] >= v for p in group)]
-
-
 def _vertex_images(group: list[list[int]]) -> list[list[int]] | None:
     """images[v][i] is vertex v's image under the i-th automorphism, as a
     bit; None when the group is the identity alone, whose key is the mask."""
@@ -370,7 +366,6 @@ def _decide_width(
     g: Graph,
     k: int,
     budget: _Budget,
-    roots: list[int] | None = None,
     images: list[list[int]] | None = None,
 ) -> tuple[bool | None, list[int] | None]:
     """Is there an elimination order with every back-degree <= k?
@@ -379,7 +374,10 @@ def _decide_width(
     the question was settled. images is _vertex_images of automorphisms of
     g, the identity first, as automorphism_group gives them; a prefix with
     a refuted image is skipped, which drops only infeasible subtrees, so
-    the verdict and the order stay those of the search without it.
+    the verdict and the order stay those of the search without it. The
+    first moves are the vertices of degree <= k in ascending order; with
+    images, a move whose orbit's least vertex was refuted is skipped by
+    the memo before it costs a state.
     """
     n = g.n
     if n <= k + 1:
@@ -478,10 +476,8 @@ def _decide_width(
         return False
 
     # fill degree at the empty prefix is the plain degree
-    if roots is None:
-        roots = list(range(n))
     imgs = None if images is None else [0] * len(images[0])
-    res = descend(0, 0, imgs, 0, list(range(n)), [r for r in roots if g.degree(r) <= k])
+    res = descend(0, 0, imgs, 0, list(range(n)), [v for v in range(n) if g.degree(v) <= k])
     if not res:
         return res, None
     prefix = list(reversed(path))
@@ -536,10 +532,10 @@ def exact_treewidth(
     if lower < upper:
         group = automorphism_group(g)
         group_order = len(group)
-        roots, images = _orbit_roots(group), _vertex_images(group)
+        images = _vertex_images(group)
         k = lower
         while k < upper:
-            verdict, order = _decide_width(g, k, budget, roots, images)
+            verdict, order = _decide_width(g, k, budget, images)
             if verdict is None:
                 break
             if verdict:

@@ -36,7 +36,6 @@ from chipwidth.graphs import (
     InvalidFamilyError,
     bits_list,
     grid_lines,
-    make_elementary,
     make_family,
 )
 from chipwidth.treewidth import covering_bag, exact_treewidth
@@ -115,7 +114,7 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
 
 
 def test_connected_set_and_touching():
-    p4 = make_elementary("path", 4)
+    p4 = make_family("grid", 4, 1)
     assert is_connected_set(p4, mask(0, 1, 2))
     assert not is_connected_set(p4, mask(0, 2))
     assert sets_touch(p4, mask(0), mask(1))  # edge joins them
@@ -124,7 +123,7 @@ def test_connected_set_and_touching():
 
 
 def test_classify_not_a_bramble():
-    p4 = make_elementary("path", 4)
+    p4 = make_family("grid", 4, 1)
     c = classify_family(p4, (mask(0), mask(3)))
     assert c.verdict == "not_bramble" and c.counterexample == (0, 1)
     c = classify_family(p4, (mask(0, 2), mask(1)))
@@ -132,7 +131,7 @@ def test_classify_not_a_bramble():
 
 
 def test_classify_bramble_not_strict():
-    c4 = make_elementary("cycle", 4)
+    c4 = make_family("stacked_prism", 4, 1)
     c = classify_family(c4, (mask(0, 1), mask(2, 3)))
     assert c.verdict == "bramble" and c.counterexample == (0, 1)
 
@@ -145,7 +144,7 @@ def test_classify_strict():
 
 def test_classify_edge_inputs():
     # no elements: no pair can fail
-    c = classify_family(make_elementary("path", 4), [])
+    c = classify_family(make_family("grid", 4, 1), [])
     assert c.verdict == "strict_bramble" and c.counterexample is None
     # a one-pass iterator is read once, like the tuple; vertex 0 misses the
     # cross of row 2 and column 2
@@ -157,7 +156,7 @@ def test_classify_edge_inputs():
         c = classify_family(g, iter(elements))
         assert c == classify_family(g, elements) and c.verdict == verdict
     # a vertex outside the graph is an error, once no earlier element failed
-    p4 = make_elementary("path", 4)
+    p4 = make_family("grid", 4, 1)
     with pytest.raises(ValueError):
         classify_family(p4, (mask(0, 1), mask(3, 4)))
     assert classify_family(p4, (mask(0, 2), mask(4))).counterexample == (0, 0)
@@ -405,7 +404,7 @@ def test_balanced_bramble_certifies_torus_margin_two(monkeypatch):
 
 def test_balanced_bramble_matches_subset_enumeration():
     for g in (make_family("grid", 3, 3), make_family("stacked_prism", 4, 2),
-              make_elementary("cycle", 7)):
+              make_family("stacked_prism", 7, 1)):
         size = g.n // 2 + 1
         want = {mask(*c) for c in combinations(range(g.n), size)
                 if is_connected_set(g, mask(*c))}
@@ -455,7 +454,7 @@ def test_generator_element_cap(monkeypatch):
 
 def test_bramble_needs_elements():
     with pytest.raises(BrambleError):
-        Bramble.from_elements(make_elementary("path", 3), [], "empty")
+        Bramble.from_elements(make_family("grid", 3, 1), [], "empty")
 
 
 # --- file format -----------------------------------------------------------------------

@@ -19,7 +19,6 @@ from chipwidth.chipfiring import (
     GonalityResult,
     _effective_divisors,
     apply_firing_script,
-    divisors_equivalent,
     exact_gonality,
     gen_winning_divisor,
     is_winning_divisor,
@@ -30,11 +29,10 @@ from chipwidth.chipfiring import (
 from chipwidth.graphs import (
     Graph,
     InvalidFamilyError,
-    make_elementary,
     make_family,
 )
 
-C4 = make_elementary("cycle", 4)
+C4 = make_family("stacked_prism", 4, 1)
 
 
 def complete_graph(k: int) -> Graph:
@@ -91,7 +89,7 @@ def test_q_reduce_cycle_fixture():
 
 
 def test_q_reduce_handles_debt():
-    p2 = make_elementary("path", 2)
+    p2 = make_family("grid", 2, 1)
     reduced, _ = q_reduce(p2, Divisor.of(p2, [0, -1]), 0)
     assert reduced.chips == (-1, 0)  # debt moves to q, the rest is effective
 
@@ -110,24 +108,27 @@ def test_q_reduce_other_base_vertex():
 
 
 def test_equivalence_and_witness_script():
-    eq, script = divisors_equivalent(C4, Divisor.of(C4, [2, 0, 0, 0]),
-                                     Divisor.of(C4, [0, 1, 0, 1]))
-    assert eq and script is not None
-    moved = apply_firing_script(C4, Divisor.of(C4, [2, 0, 0, 0]), script)
-    assert moved.chips == (0, 1, 0, 1)
+    # equivalent divisors have one reduced form at vertex 0, and the
+    # difference of their reduction scripts moves the one to the other
+    d1, d2 = Divisor.of(C4, [2, 0, 0, 0]), Divisor.of(C4, [0, 1, 0, 1])
+    (r1, s1), (r2, s2) = q_reduce(C4, d1, 0), q_reduce(C4, d2, 0)
+    assert r1.chips == r2.chips == (2, 0, 0, 0)
+    script = FiringScript(tuple(a - b for a, b in zip(s1.counts, s2.counts)))
+    assert apply_firing_script(C4, d1, script).chips == (0, 1, 0, 1)
 
 
 def test_inequivalent_single_chips():
-    eq, script = divisors_equivalent(C4, Divisor.of(C4, [1, 0, 0, 0]),
-                                     Divisor.of(C4, [0, 1, 0, 0]))
-    assert not eq and script is None
+    # one chip on each of two vertices: the reduced forms at 0 differ
+    r1, _ = q_reduce(C4, Divisor.of(C4, [1, 0, 0, 0]), 0)
+    r2, _ = q_reduce(C4, Divisor.of(C4, [0, 1, 0, 0]), 0)
+    assert r1.chips != r2.chips
 
 
 # --- the gonality game -------------------------------------------------------------
 
 
 def test_winning_checks_on_triangle():
-    c3 = make_elementary("cycle", 3)
+    c3 = make_family("stacked_prism", 3, 1)
     wins, fail = is_winning_divisor(c3, Divisor.of(c3, [1, 1, 0]))
     assert wins and fail is None
     wins, fail = is_winning_divisor(c3, Divisor.of(c3, [1, 0, 0]))
@@ -137,9 +138,9 @@ def test_winning_checks_on_triangle():
 
 
 def test_gonality_small_graphs():
-    assert exact_gonality(make_elementary("path", 4)).gonality == 1
+    assert exact_gonality(make_family("grid", 4, 1)).gonality == 1
     assert exact_gonality(C4).gonality == 2
-    assert exact_gonality(make_elementary("cycle", 5)).gonality == 2
+    assert exact_gonality(make_family("stacked_prism", 5, 1)).gonality == 2
     assert exact_gonality(complete_graph(4)).gonality == 3
 
 
@@ -486,7 +487,7 @@ def test_winning_generator_rejections():
     with pytest.raises(InvalidFamilyError, match="row index -1 out of range for m=4"):
         gen_winning_divisor(make_family("toroidal_grid", 4, 3), "row_twos", index=-1)
     # a labelled cycle is the prism Y5,1, whose one-vertex rows take two chips
-    y51 = make_elementary("cycle", 5)
+    y51 = make_family("stacked_prism", 5, 1)
     assert gen_winning_divisor(y51, "row_twos", index=4).chips == (0, 0, 0, 0, 2)
 
 

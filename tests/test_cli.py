@@ -134,6 +134,17 @@ def test_verify_td_malformed_file(tmp_path, capsys):
     assert code == 1 and err.startswith("error: 'ascii' codec can't decode")
 
 
+def test_verify_td_for_another_vertex_count(tmp_path, capsys):
+    # a .td file for 4 vertices against the 3 of P3 is an error, not a verdict
+    gr = tmp_path / "p3.gr"
+    td = tmp_path / "p4.td"
+    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    td.write_text("s td 2 2 4\nb 1 1 2\nb 2 2 3\n1 2\n")
+    code, out, err = run(capsys, "verify-td", str(gr), str(td))
+    assert code == 1 and out == ""
+    assert err == "error: decomposition is for 4 vertices, graph has 3\n"
+
+
 # --- bramble ----------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Graph core: family generators, products, isomorphism, .gr format."""
+"""Graph core: family generators, automorphisms, .gr format."""
 
 from __future__ import annotations
 
@@ -20,13 +20,10 @@ from chipwidth.graphs import (
     GraphError,
     InvalidFamilyError,
     MAX_GROUP_ORDER,
-    are_isomorphic,
     automorphism_group,
     bits_list,
-    cartesian_product,
     family_graphs,
     grid_lines,
-    make_elementary,
     make_family,
     read_gr,
     write_gr,
@@ -47,28 +44,18 @@ def grid(m: int, n: int) -> Graph:
     return make_family("grid", m, n)
 
 
-# --- elementary and family generators ----------------------------------------
+# --- family generators ----------------------------------------------------------
 
 
 def test_elementary_counts():
     # a path is the one-column grid G(k,1) and a cycle the prism Y(k,1)
-    p = make_elementary("path", 5)
-    assert p.n == 5 and len(p.edges) == 4
-    assert p.family == FamilyMeta("grid", 5, 1) and p.edges == grid(5, 1).edges
-    c = make_elementary("cycle", 6)
+    p = grid(5, 1)
+    assert p.n == 5 and p.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+    c = prism(6, 1)
     assert c.n == 6 and len(c.edges) == 6
     assert all(c.degree(v) == 2 for v in range(6))
-    assert c.family == FamilyMeta("stacked_prism", 6, 1) and c.edges == prism(6, 1).edges
-    assert make_elementary("path", 1).n == 1
-
-
-def test_elementary_rejects_bad_sizes():
-    with pytest.raises(InvalidFamilyError):
-        make_elementary("cycle", 2)
-    with pytest.raises(InvalidFamilyError):
-        make_elementary("path", 0)
-    with pytest.raises(InvalidFamilyError):
-        make_elementary("clique", 4)
+    assert c.family == FamilyMeta("stacked_prism", 6, 1)
+    assert grid(1, 1).n == 1 and not grid(1, 1).edges
 
 
 def test_grid_2x3_frozen_edges():
@@ -97,31 +84,32 @@ def test_family_degree_profiles():
 
 
 def test_family_rejects_bad_sizes():
-    with pytest.raises(InvalidFamilyError):
-        prism(2, 3)
-    with pytest.raises(InvalidFamilyError):
-        torus(3, 2)
-    with pytest.raises(InvalidFamilyError):
-        grid(0, 3)
-    with pytest.raises(InvalidFamilyError):
-        make_family("moebius", 3, 3)
+    # a cycle needs 3 vertices, a path 1, and paths and cycles are no kinds
+    for kind, m, n in (("stacked_prism", 2, 3), ("toroidal_grid", 3, 2), ("grid", 0, 3),
+                       ("stacked_prism", 2, 1), ("grid", 3, 0)):
+        with pytest.raises(InvalidFamilyError, match="needs m >= "):
+            make_family(kind, m, n)
+    for kind in ("moebius", "path", "cycle"):
+        with pytest.raises(InvalidFamilyError, match="unknown family kind"):
+            make_family(kind, 4, 1)
 
 
 def test_product_matches_family_generators():
-    # the family formulas against the product of their factors, for every
-    # grid, prism and torus of at most 20 vertices, which family_graphs
-    # enumerates once each
-    factors = {"grid": ("path", "path"), "stacked_prism": ("cycle", "path"),
-               "toroidal_grid": ("cycle", "cycle")}
+    # the family formulas against networkx's product of their factors, with
+    # (a, b) at a*n + b, for every grid, prism and torus of at most 20
+    # vertices, which family_graphs enumerates once each
+    factors = {"grid": (nx.path_graph, nx.path_graph),
+               "stacked_prism": (nx.cycle_graph, nx.path_graph),
+               "toroidal_grid": (nx.cycle_graph, nx.cycle_graph)}
     fams = []
     for kind, (first, second) in factors.items():
-        for m in range(3 if first == "cycle" else 1, 21):
-            for n in range(3 if second == "cycle" else 1, 20 // m + 1):
-                cp = cartesian_product(make_elementary(first, m), make_elementary(second, n))
-                assert cp.family is None
+        for m in range(3 if first is nx.cycle_graph else 1, 21):
+            for n in range(3 if second is nx.cycle_graph else 1, 20 // m + 1):
+                product = nx.cartesian_product(first(m), second(n))
+                want = {tuple(sorted((a * n + b, c * n + d))) for (a, b), (c, d) in product.edges}
                 fam = FamilyMeta(kind, m, n)
-                assert set(_family_edges(fam)) == cp.edge_set, fam
-                assert make_family(kind, m, n).edge_set == cp.edge_set
+                assert set(_family_edges(fam)) == want, fam
+                assert make_family(kind, m, n).edge_set == want
                 fams.append(fam)
     assert len(fams) == 66 + 36 + 10
     swept = [g.family for g in family_graphs(20)]
@@ -133,7 +121,7 @@ def test_graph_refuses_family_metadata_that_does_not_fit():
     perm = list(range(1, 12)) + [0]
     with pytest.raises(InvalidFamilyError, match="not those of toroidal_grid 4 3"):
         Graph(12, t.relabeled(perm).edges, t.family)
-    c5 = make_elementary("cycle", 5)
+    c5 = prism(5, 1)
     with pytest.raises(InvalidFamilyError, match="not those of grid 5 1"):
         Graph(5, c5.edges, FamilyMeta("grid", 5, 1))
     # the label that fits is kept
@@ -178,7 +166,7 @@ def test_grid_lines_torus_and_grid():
 
 def test_grid_lines_errors():
     # a path is the one-column grid; an unlabelled graph has no lines
-    rows, cols = grid_lines(make_elementary("path", 4))
+    rows, cols = grid_lines(grid(4, 1))
     assert rows == [1, 2, 4, 8] and cols == [15]
     with pytest.raises(InvalidFamilyError):
         grid_lines(Graph(4, [(0, 1), (1, 2), (2, 3)]))
@@ -187,52 +175,13 @@ def test_grid_lines_errors():
 
 
 def test_neighborhood_and_connectivity():
-    c = make_elementary("cycle", 5)
+    c = prism(5, 1)
     assert sorted(bits_list(c.neighborhood(1 << 0))) == [1, 4]
     assert c.is_connected()
     assert c.has_edge(0, 4) and not c.has_edge(0, 2)
 
 
-# --- isomorphism ---------------------------------------------------------------
-
-
-def test_isomorphic_under_relabeling():
-    rng = random.Random(7)
-    for g in (grid(3, 4), prism(4, 2), torus(4, 3)):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        assert are_isomorphic(g, g.relabeled(perm))
-
-
-def test_grid_transpose_isomorphic():
-    assert are_isomorphic(grid(3, 4), grid(4, 3))
-
-
-def test_non_isomorphic_same_degree_sequence():
-    # triangular prism vs K_3,3 minus nothing: both 3-regular on 6 vertices
-    k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    assert not are_isomorphic(prism(3, 2), k33)
-    assert not are_isomorphic(make_elementary("path", 5), make_elementary("cycle", 5))
-
-
-@st.composite
-def graph_pairs(draw) -> tuple[Graph, Graph]:
-    # same vertex and edge counts, so the cheap count checks rarely decide;
-    # h is a relabelled g, a relabelled g with one edge moved, or a fresh graph
-    n = draw(st.integers(1, 8))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [p for p, k in zip(pairs, keep) if k]
-    g = Graph(n, edges)
-    how = draw(st.sampled_from(["relabel", "move", "fresh"]))
-    h_edges = list(edges)
-    if how == "move" and 0 < len(edges) < len(pairs):
-        h_edges.remove(draw(st.sampled_from(edges)))
-        h_edges.append(draw(st.sampled_from([p for p in pairs if p not in edges])))
-    elif how == "fresh" and pairs:
-        h_edges = draw(st.lists(st.sampled_from(pairs), unique=True,
-                                min_size=len(edges), max_size=len(edges)))
-    return g, Graph(n, h_edges).relabeled(draw(st.permutations(range(n))))
+# --- automorphisms ----------------------------------------------------------------
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -240,21 +189,6 @@ def to_networkx(g: Graph) -> nx.Graph:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(graph_pairs())
-def test_isomorphism_matches_networkx(pair):
-    g, h = pair
-    ok, mapping = are_isomorphic(g, h, return_mapping=True)
-    assert ok == nx.is_isomorphic(to_networkx(g), to_networkx(h))
-    if ok:
-        assert sorted(mapping) == list(range(g.n))
-        assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges) \
-            == sorted(h.edges)
-
-
-# --- automorphisms ----------------------------------------------------------------
 
 
 def assert_group_is_aut(g: Graph) -> list[list[int]]:
@@ -328,7 +262,7 @@ def test_automorphism_group_cap():
 
 
 def test_gr_round_trip_byte_identical():
-    for g in (grid(3, 3), prism(5, 3), torus(4, 3), make_elementary("path", 5)):
+    for g in (grid(3, 3), prism(5, 3), torus(4, 3), grid(5, 1)):
         text = write_gr(g)
         again = write_gr(read_gr(text))
         assert text == again
@@ -349,9 +283,8 @@ def _random_connected(rng: random.Random, n: int, p: float) -> Graph:
 
 
 def test_gr_drops_family_comment_that_does_not_match_edges(tmp_path, capsys):
-    # trusting a T4,3 comment on another 12-vertex graph would restrict the
-    # treewidth search's root moves to orbit representatives of the wrong
-    # graph; several of these graphs then get a wrong exact width
+    # a T4,3 comment on another 12-vertex graph must not label it: the
+    # claims table, the brambles and the stock divisors all trust the label
     rng = random.Random(0)
     graphs = [_random_connected(rng, 12, 0.3) for _ in range(300)]
     for g in graphs:
@@ -384,8 +317,10 @@ def test_gr_rejections():
         read_gr("p tw 3 2\n2 2\n1 2\n")  # loop
     with pytest.raises(FormatError):
         read_gr("p tw 3 2\n1 2\n1 2\n")  # parallel edge
-    with pytest.raises(FormatError):
-        read_gr("p tw 4 2\n1 2\n3 4\n")  # disconnected
+    with pytest.raises(FormatError, match="needs at least 3 edges"):
+        read_gr("p tw 4 2\n1 2\n3 4\n")  # too few edges to be connected
+    with pytest.raises(FormatError, match="not connected"):
+        read_gr("p tw 4 3\n1 2\n2 3\n1 3\n")  # a triangle and a lone vertex
     with pytest.raises(FormatError):
         read_gr("1 2\n2 3\n")  # missing problem line
     with pytest.raises(FormatError, match="line 1"):
@@ -405,3 +340,15 @@ def test_gr_rejections():
     assert read_gr("c family grid 10 1\n" + path).family == FamilyMeta("grid", 10, 1)
     # a path is labelled as the grid G10,1: a path comment names no kind
     assert read_gr("c family path 10 1\n" + path).family is None
+
+
+def test_gr_header_too_few_edges_fails_at_once():
+    # a header with fewer than n - 1 edges is refused before its vertex
+    # count sizes anything (10**7 vertices took 169 MB when it was not)
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError, match="line 1: a connected graph on 10000000 vertices"):
+        read_gr("p tw 10000000 0\n")
+    with pytest.raises(FormatError, match="line 2"):
+        read_gr("c a comment\np tw 10000000 9999997\n1 2\n")
+    assert time.perf_counter() - t0 < 0.1
+    assert read_gr("p tw 1 0\n").n == 1

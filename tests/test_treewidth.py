@@ -33,10 +33,10 @@ from chipwidth.graphs import (
     automorphism_group,
     family_graphs,
     iter_bits,
-    make_elementary,
     make_family,
 )
 from chipwidth.treewidth import (
+    DecompositionError,
     NotATreeError,
     SolverLimits,
     TdFormatError,
@@ -44,7 +44,6 @@ from chipwidth.treewidth import (
     ValidationReport,
     _Budget,
     _decide_width,
-    _orbit_roots,
     _vertex_images,
     contraction_degeneracy,
     covering_bag,
@@ -67,7 +66,7 @@ def mask(*vs: int) -> int:
     return out
 
 
-P3 = make_elementary("path", 3)
+P3 = make_family("grid", 3, 1)
 
 
 # --- validation ----------------------------------------------------------------
@@ -107,6 +106,17 @@ def test_validate_rejects_non_tree():
                                      ((0, 1), (0, 1)), 3)
     with pytest.raises(NotATreeError):
         validate_tree_decomposition(P3, disconnected)
+
+
+def test_validate_rejects_decomposition_of_another_graph():
+    # a decomposition for 4 vertices, or one naming vertex 3, is not judged
+    # on the 3 vertices of P3
+    td = TreeDecomposition((mask(0, 1), mask(1, 2)), ((0, 1),), 4)
+    with pytest.raises(DecompositionError, match="for 4 vertices, graph has 3"):
+        validate_tree_decomposition(P3, td)
+    td = TreeDecomposition((mask(0, 1), mask(1, 2, 3)), ((0, 1),), 3)
+    with pytest.raises(DecompositionError, match="vertex outside the graph"):
+        validate_tree_decomposition(P3, td)
 
 
 def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
@@ -168,14 +178,14 @@ def test_width_is_largest_bag_minus_one():
 
 
 def test_decomposition_from_elimination_order_cycle():
-    c5 = make_elementary("cycle", 5)
+    c5 = make_family("stacked_prism", 5, 1)
     td = decomposition_from_elimination_order(c5, [0, 1, 2, 3, 4])
     assert validate_tree_decomposition(c5, td).valid
     assert td.width == 2
 
 
 def test_degeneracy_values():
-    assert degeneracy(make_elementary("path", 5)) == 1
+    assert degeneracy(make_family("grid", 5, 1)) == 1
     assert degeneracy(make_family("grid", 3, 4)) == 2
     assert degeneracy(make_family("toroidal_grid", 4, 3)) == 4
     k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -190,13 +200,13 @@ def test_contraction_degeneracy_values():
                              ("stacked_prism", 6, 3, 4),
                              ("stacked_prism", 8, 4, 4)):
         assert contraction_degeneracy(make_family(kind, m, n)) == want, (kind, m, n)
-    assert contraction_degeneracy(make_elementary("path", 1)) == 0
-    assert contraction_degeneracy(make_elementary("path", 2)) == 1
-    assert contraction_degeneracy(make_elementary("cycle", 7)) == 2
+    assert contraction_degeneracy(make_family("grid", 1, 1)) == 0
+    assert contraction_degeneracy(make_family("grid", 2, 1)) == 1
+    assert contraction_degeneracy(make_family("stacked_prism", 7, 1)) == 2
 
 
 def test_min_fill_upper_bound():
-    order, width = min_fill_order(make_elementary("path", 4))
+    order, width = min_fill_order(make_family("grid", 4, 1))
     assert width == 1 and sorted(order) == [0, 1, 2, 3]
     g = make_family("grid", 3, 3)
     _, w = min_fill_order(g)
@@ -207,8 +217,8 @@ def test_min_fill_upper_bound():
 
 
 def test_exact_small_graphs():
-    assert exact_treewidth(make_elementary("path", 5)).treewidth == 1
-    assert exact_treewidth(make_elementary("cycle", 6)).treewidth == 2
+    assert exact_treewidth(make_family("grid", 5, 1)).treewidth == 1
+    assert exact_treewidth(make_family("stacked_prism", 6, 1)).treewidth == 2
     k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert exact_treewidth(k4).treewidth == 3
     assert exact_treewidth(make_family("grid", 2, 2)).treewidth == 2
@@ -307,7 +317,7 @@ def test_witness_is_checked_on_the_graph():
     assert (res.proof_status, res.treewidth, res.witness_lower) == ("exact", 3, 2)
     # a bramble over another graph on as many vertices
     with pytest.raises(BrambleError, match="another graph"):
-        exact_treewidth(g, witness=gen_balanced_bramble(make_elementary("cycle", 9)))
+        exact_treewidth(g, witness=gen_balanced_bramble(make_family("stacked_prism", 9, 1)))
     # opposite corners do not touch, and {0, 2} is not connected
     for elements in ([mask(0), mask(8)], [mask(0, 2), mask(0, 1)]):
         with pytest.raises(BrambleError, match="not a bramble"):
@@ -318,7 +328,7 @@ def test_relabeling_invariance():
     rng = random.Random(11)
     for g in (make_family("grid", 3, 3),
               make_family("stacked_prism", 4, 2),
-              make_elementary("cycle", 5)):
+              make_family("stacked_prism", 5, 1)):
         want = exact_treewidth(g).treewidth
         perm = list(range(g.n))
         rng.shuffle(perm)
@@ -434,7 +444,7 @@ def oracle_fill_neighborhoods(adj, s_mask: int, outside: int) -> list[int]:
     return out
 
 
-def oracle_decide_width(g: Graph, k: int, budget: _Budget, roots=None):
+def oracle_decide_width(g: Graph, k: int, budget: _Budget):
     """The width search as it was before it kept the elimination graph:
     Q(S, v) is rebuilt from the components of S at every state."""
     n, full, adj = g.n, g.full_mask, g.adj
@@ -479,7 +489,7 @@ def oracle_decide_width(g: Graph, k: int, budget: _Budget, roots=None):
 
     if n <= k + 1:
         return True, sorted(range(n))
-    for r in range(n) if roots is None else roots:
+    for r in range(n):
         if g.degree(r) > k:
             continue
         res = dfs(1 << r, 1)
@@ -493,17 +503,15 @@ def oracle_decide_width(g: Graph, k: int, budget: _Budget, roots=None):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(connected_graphs(max_n=9), st.integers(0, 60), st.data())
-def test_search_matches_component_oracle(g, cap, data):
+@given(connected_graphs(max_n=9), st.integers(0, 60))
+def test_search_matches_component_oracle(g, cap):
     # same verdict, same witness order and the same number of counted
-    # states at every width, with and without a state cap cutting it short,
-    # from all roots and from a subset of them
-    roots = data.draw(st.none() | st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    # states at every width, with and without a state cap cutting it short
     for k in range(g.n):
         for max_states in (10**6, cap):
             ours, theirs = _Budget(max_states, None), _Budget(max_states, None)
-            got = _decide_width(g, k, ours, roots)
-            want = oracle_decide_width(g, k, theirs, roots)
+            got = _decide_width(g, k, ours)
+            want = oracle_decide_width(g, k, theirs)
             assert got == want and ours.states == theirs.states, (k, max_states)
 
 
@@ -550,9 +558,10 @@ def test_search_pinned_on_relabeled_family_graph():
 
 
 def test_orbit_roots_are_the_family_representatives():
-    # one first move per orbit: a torus is vertex transitive, a prism has
-    # one per column pair j, n-1-j, and a grid one per row and column pair,
-    # merged with its transpose when the grid is square
+    # the memo key of a first move v is the least vertex of its orbit, so
+    # one first move per orbit costs a state: a torus is vertex transitive,
+    # a prism has one orbit per column pair j, n-1-j, and a grid one per row
+    # and column pair, merged with its transpose when the grid is square
     for g in family_graphs(30):
         fam = g.family
         m, n = fam.m, fam.n
@@ -562,8 +571,9 @@ def test_orbit_roots_are_the_family_representatives():
             "stacked_prism": list(cols),
             "grid": [i * n + j for i in rows for j in cols if m != n or i <= j],
         }[fam.kind]
-        group = automorphism_group(g)
-        assert _orbit_roots(group) == want, fam
+        images = _vertex_images(automorphism_group(g))
+        keys = range(g.n) if images is None else {min(row).bit_length() - 1 for row in images}
+        assert sorted(keys) == want, fam
     # orders 4mn, 4m and 4 off the square and cube cases
     for kind, order in (("toroidal_grid", 80), ("stacked_prism", 20), ("grid", 4)):
         assert len(automorphism_group(make_family(kind, 5, 4))) == order
@@ -572,12 +582,11 @@ def test_orbit_roots_are_the_family_representatives():
 def assert_symmetric_memo_matches_identity_search(g: Graph) -> None:
     # skipping prefixes whose image was refuted drops only infeasible
     # subtrees: same verdict and order at every width, never more states
-    group = automorphism_group(g)
-    roots = _orbit_roots(group)
+    images = _vertex_images(automorphism_group(g))
     for k in range(g.n):
         ours, plain = _Budget(10**7, None), _Budget(10**7, None)
-        got = _decide_width(g, k, ours, roots, _vertex_images(group))
-        want = _decide_width(g, k, plain, roots)
+        got = _decide_width(g, k, ours, images)
+        want = _decide_width(g, k, plain)
         assert got == want and ours.states <= plain.states, (g, k)
 
 
@@ -644,6 +653,19 @@ def test_covering_bag_torus():
     assert hit.bag.bit_count() >= min_hitting_set(b).order
 
 
+def test_covering_bag_refusals():
+    # on P3 with bags {0, 1} and {1, 2}: a decomposition that fails a
+    # condition is refused, and a family whose elements {0} and {2} do not
+    # touch, so no bag meets both, is no bramble
+    td = TreeDecomposition((mask(0, 1), mask(1, 2)), ((0, 1),), 3)
+    uncovered = TreeDecomposition((mask(0, 1), mask(2)), ((0, 1),), 3)
+    with pytest.raises(DecompositionError, match="condition 2 fails"):
+        covering_bag(uncovered, Bramble.from_elements(P3, [mask(1)]))
+    with pytest.raises(RuntimeError, match="not a bramble"):
+        covering_bag(td, Bramble.from_elements(P3, [mask(0), mask(2)]))
+    assert covering_bag(td, Bramble.from_elements(P3, [mask(0, 1), mask(2)])).node == 1
+
+
 # --- family claims and their witnesses --------------------------------------------
 
 
@@ -698,7 +720,7 @@ def test_family_claims_refuse_unverified_metadata():
     with pytest.raises(InvalidFamilyError):
         family_claims(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
     # a labelled cycle is the prism Y5,1, whose claims hold: tw 2, gon 2
-    claims = family_claims(make_elementary("cycle", 5))
+    claims = family_claims(make_family("stacked_prism", 5, 1))
     assert (claims.low, claims.high, claims.style) == (2, 2, "row_twos")
 
 
