@@ -83,15 +83,23 @@ def test_family_degree_profiles():
     assert sorted(g.degree(v) for v in range(9)).count(2) == 4  # corners
 
 
-def test_family_rejects_bad_sizes():
-    # a cycle needs 3 vertices, a path 1, and paths and cycles are no kinds
-    for kind, m, n in (("stacked_prism", 2, 3), ("toroidal_grid", 3, 2), ("grid", 0, 3),
-                       ("stacked_prism", 2, 1), ("grid", 3, 0)):
+def test_elementary_rejects_bad_sizes():
+    # a cycle Y(k,1) needs 3 vertices, a path G(k,1) 1, and neither is a kind
+    for kind, m in (("stacked_prism", 2), ("grid", 0)):
         with pytest.raises(InvalidFamilyError, match="needs m >= "):
-            make_family(kind, m, n)
-    for kind in ("moebius", "path", "cycle"):
+            make_family(kind, m, 1)
+    for kind in ("path", "cycle", "clique"):
         with pytest.raises(InvalidFamilyError, match="unknown family kind"):
             make_family(kind, 4, 1)
+
+
+def test_family_rejects_bad_sizes():
+    for kind, m, n in (("stacked_prism", 2, 3), ("toroidal_grid", 3, 2), ("grid", 0, 3),
+                       ("grid", 3, 0)):
+        with pytest.raises(InvalidFamilyError, match="needs m >= "):
+            make_family(kind, m, n)
+    with pytest.raises(InvalidFamilyError, match="unknown family kind"):
+        make_family("moebius", 3, 3)
 
 
 def test_product_matches_family_generators():
