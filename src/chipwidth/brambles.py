@@ -21,15 +21,27 @@ largest unhit counts of the allowed vertices cannot add up to the unhit
 elements. The same search fixes the lexicographically least optimal
 witness slot by slot. The hot loops walk vertex lists or peel the lowest
 set bit in place; the iter_bits generator costs a frame resume per vertex.
+
+Both calls use one symmetry group Γ per family, built once per graph and
+element tuple: the automorphisms of the graph, from its stabilizer chain,
+that map the element set onto itself. Each candidate generator is checked
+on every element, and one whose images are not all elements is rejected.
+Meeting and touching are Γ-invariant, so classification searches only one
+element per Γ-orbit when that proves a strict bramble; any other family
+takes the full scan, so counterexamples do not depend on Γ. The order's
+decision search branches at its root on Γ's vertex orbits (orbital
+branching); the witness is fixed without Γ, so it stays the same. Γ may be
+smaller than the family's full stabilizer, which costs speed only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
     Graph,
@@ -42,6 +54,7 @@ from .graphs import (
     mask_connected,
     mask_of,
     parse_ints,
+    stabilizer_chain,
 )
 
 # Most distinct elements Bramble.from_elements accepts before it raises
@@ -140,7 +153,7 @@ def sets_touch(g: Graph, a: int, b: int) -> bool:
     return bool(g.neighborhood(a) & b)
 
 
-def _element_holders(elements: list[int], n: int) -> list[int]:
+def _element_holders(elements: Sequence[int], n: int) -> list[int]:
     """holders[v] is the bitset of the indices of the elements holding v.
 
     The transpose of the elements' n-digit binary strings: column v of the
@@ -181,12 +194,167 @@ def _span(adj: tuple[int, ...], e: int) -> tuple[list[int], list[int]] | None:
     return reached, rim
 
 
+# --- the family's symmetry ----------------------------------------------------
+
+
+# What a group Γ of automorphisms of the graph that maps the element set
+# onto itself tells the two searches: Γ's vertex orbits as masks, in order
+# of their least vertex, and the least element index of each element
+# orbit, ascending. A plain tuple: a class would cost the package's import.
+_Symmetry = tuple[list[int], list[int]]
+
+
+# (adj, elements, symmetry) of the last call, so that classify_family and
+# min_hitting_set on one family build Γ once. The entry depends on nothing
+# but its key, so sharing it between callers is safe.
+_last_symmetry: list[tuple[tuple[int, ...], tuple[int, ...], _Symmetry | None]] = []
+
+
+def _family_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
+    """_build_symmetry(g, elements), remembered for the last (g.adj,
+    elements) asked."""
+    adj = g.adj
+    if _last_symmetry:
+        last_adj, last_elements, sym = _last_symmetry[0]
+        if last_adj == adj and (last_elements is elements or last_elements == elements):
+            return sym
+    sym = _build_symmetry(g, elements)
+    _last_symmetry[:] = [(adj, elements, sym)]
+    return sym
+
+
+def _build_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
+    """Γ for the elements, or None when there are none or one of them is
+    empty, outside the graph or repeated.
+
+    The candidate generators come from g's stabilizer chain (_candidates).
+    A candidate that joins no two vertex orbits of the generators kept so
+    far is skipped. The others are kept only if every element's image is an
+    element, and rejected at the first image that is not; an image is the
+    OR of one table lookup per byte of the element. Γ, generated by the
+    kept candidates, may be smaller than the family's full stabilizer in
+    Aut(g); that costs speed only.
+    """
+    n = g.n
+    if not elements or min(elements) <= 0 or max(elements) >> n:
+        return None
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        return None
+    shifts = range(0, n, 8)
+    # column s holds byte s / 8 of every element, shared by all candidates
+    columns = [[e >> s & 255 for e in elements] for s in shifts]
+    # holding[v] counts the elements that hold v. A symmetry keeps it, so
+    # once one candidate has failed on the elements, a candidate that does
+    # not keep it is rejected without looking at them
+    holding: list[int] | None = None
+    orbit_of = list(range(n))  # vertex -> least vertex of its orbit
+    kept: list[list[int]] = []  # per kept candidate, index -> image index
+    for p in _candidates(stabilizer_chain(g)):
+        if all(orbit_of[p[v]] == orbit_of[v] for v in range(n)):
+            continue
+        if holding is not None and any(holding[p[v]] != holding[v] for v in range(n)):
+            continue
+        lookups = []
+        for s in shifts:
+            table = [0]  # table[x] is the image of byte value x at s
+            for v in range(s, min(s + 8, n)):
+                image = 1 << p[v]
+                table += [t | image for t in table]
+            lookups.append(table.__getitem__)
+        images = map(lookups[0], columns[0])
+        for look, column in zip(lookups[1:], columns[1:]):
+            images = map(or_, images, map(look, column))
+        try:
+            kept.append(list(map(index.__getitem__, images)))
+        except KeyError:
+            if holding is None:
+                holding = [0] * n
+                for s, column in zip(shifts, columns):
+                    for x, count in Counter(column).items():
+                        while x:
+                            low = x & -x
+                            holding[s + low.bit_length() - 1] += count
+                            x ^= low
+            continue
+        for v in range(n):
+            a, b = orbit_of[v], orbit_of[p[v]]
+            if a != b:
+                low, high = min(a, b), max(a, b)
+                orbit_of = [low if o == high else o for o in orbit_of]
+        if not any(orbit_of):
+            break  # transitive: every later candidate would be skipped
+    orbits: dict[int, int] = {}
+    for v, o in enumerate(orbit_of):
+        orbits[o] = orbits.get(o, 0) | 1 << v
+    representatives = []
+    seen = bytearray(len(elements))
+    for i in range(len(elements)):
+        if seen[i]:
+            continue
+        representatives.append(i)
+        seen[i] = 1
+        todo = [i]
+        while todo:
+            x = todo.pop()
+            for image in kept:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    todo.append(y)
+    return [orbits[o] for o in sorted(orbits)], representatives
+
+
+def _candidates(levels: list[list[list[int]]]) -> Iterator[list[int]]:
+    """The transversal elements of a stabilizer chain (levels deepest
+    first), top level first; each top-level element is followed by its
+    products with the deeper levels' elements. The top level holds one
+    coset representative per image of the chain's first base point, and
+    the products offer other representatives of the same coset:
+    (0 2)(1 3)(4 6)(5 7), which keeps prism_collapsed on Y4,2, is such a
+    product and no transversal element. Products of the deeper levels are
+    left out: on graphs with large groups their number grows much faster
+    (the edgeless 24-vertex graph would give about six times as many)."""
+    if not levels:
+        return
+    top, *deeper = levels[::-1]
+    for t in top[1:]:
+        yield t
+        for level in deeper:
+            for u in level[1:]:
+                yield [t[x] for x in u]
+    for level in deeper:
+        yield from level[1:]
+
+
 def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
     """Name the first non-touching pair, else the first disjoint pair, in
-    index order. Through the per-vertex holders bitsets an element meets and
-    touches the others in a few big-int ORs, over its vertices and over the
-    vertices of its neighbourhood."""
-    elems = list(elements)
+    index order.
+
+    Meeting and touching are invariant under the family's symmetry group Γ
+    (see _family_symmetry). So when every element orbit's representative
+    is connected and meets every element, the family is a strict bramble.
+    Every other family, and one whose Γ is trivial, goes through the full
+    scan, so counterexamples are the same with or without Γ.
+    """
+    elems = tuple(elements)
+    sym = _family_symmetry(g, elems)
+    if sym is not None and len(sym[1]) < len(elems):
+        holder = _element_holders(elems, g.n).__getitem__
+        everything = (1 << len(elems)) - 1
+        for i in sym[1]:
+            span = _span(g.adj, elems[i])
+            if span is None or reduce(or_, map(holder, span[0])) != everything:
+                break
+        else:
+            return Classification(STRICT_BRAMBLE)
+    return _classify_scan(g, elems)
+
+
+def _classify_scan(g: Graph, elems: tuple[int, ...]) -> Classification:
+    """classify_family without symmetry. Through the per-vertex holders
+    bitsets an element meets and touches the others in a few big-int ORs,
+    over its vertices and over the vertices of its neighbourhood."""
     spans = []
     for i, e in enumerate(elems):
         if e == 0:
@@ -292,6 +460,28 @@ class _HittingSearch:
                 return True
         return False
 
+    def exists_by_orbits(self, size: int, orbits: list[int]) -> bool:
+        """exists(everything, size, all vertices), branching at the root on
+        the vertex orbits of a group that maps the elements onto themselves,
+        in order of their least vertex.
+
+        Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, 2011):
+        if a hitting set meets orbit O_i first, a group element maps it to
+        one of the same size that holds the least vertex of O_i and still
+        avoids O_1 ... O_(i-1). So child i takes that vertex and bars the
+        earlier orbits; a transitive group leaves one child."""
+        self.nodes += 1
+        unhit = self.everything  # not empty: a family with no elements has no Γ
+        allowed = (1 << self.n) - 1
+        if size <= 0 or self.degree_bound(unhit, allowed) > size:
+            return False
+        for orbit in orbits:
+            low = orbit & -orbit
+            if self.exists(unhit & ~self.holders[low.bit_length() - 1], size - 1, allowed ^ low):
+                return True
+            allowed &= ~orbit
+        return False
+
     def lex_least(self, order: int) -> int:
         """The lexicographically least hitting set of the given (optimal)
         size, fixed one slot at a time."""
@@ -321,16 +511,31 @@ def min_hitting_set(b: Bramble) -> OrderCertificate:
     size reaches that of a greedy hitting set. The search branches on the
     vertices of the smallest unhit element, each tried vertex barred from
     the branches after it, and prunes with the degree-sum bound over
-    per-vertex bitsets of element indices. The
-    witness is the lexicographically least optimal hitting set, so equal
-    inputs always give byte-equal certificates.
+    per-vertex bitsets of element indices. When the family's symmetry
+    group Γ (see _family_symmetry) moves some vertex, the root branches on
+    Γ's vertex orbits instead. The witness is the lexicographically least
+    optimal hitting set, so equal inputs always give byte-equal
+    certificates.
+
+    An empty element raises BrambleError, and a vertex outside the graph
+    ValueError.
     """
     n = b.graph.n
-    search = _HittingSearch(b.elements, n)
+    elements = b.elements
+    if 0 in elements:
+        raise BrambleError("empty element")
+    if elements and (min(elements) < 0 or max(elements) >> n):
+        raise ValueError("set contains a vertex outside the graph")
+    sym = _family_symmetry(b.graph, elements)
+    orbits = None if sym is None or len(sym[0]) == n else sym[0]
+    search = _HittingSearch(elements, n)
     full = (1 << n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)
-    while k < upper and not search.exists(search.everything, k, full):
+    while k < upper and not (
+        search.exists(search.everything, k, full) if orbits is None
+        else search.exists_by_orbits(k, orbits)
+    ):
         k += 1
     witness = search.lex_least(k)
     return OrderCertificate(k, witness, search.nodes)

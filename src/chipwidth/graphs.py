@@ -270,20 +270,39 @@ MAX_GROUP_ORDER = 1024
 def automorphism_group(g: Graph) -> list[list[int]]:
     """Every automorphism of g as a vertex permutation, the identity first.
 
-    Built as a stabilizer chain along _search_order: level i holds one
-    automorphism for each image of order[i] while order[:i] stays fixed,
-    and the group is every product of one element per level, each element
-    once. The levels are built deepest first, so an image reached by
-    composing automorphisms already found needs no search. The group's
-    order, the product of the level sizes, is known before any element is
-    built; past MAX_GROUP_ORDER the result is the identity alone.
+    The group is every product of one element per level of
+    stabilizer_chain(g), each element once. Its order, the product of the
+    level sizes, is known before any element is built; past
+    MAX_GROUP_ORDER the result is the identity alone.
+    """
+    identity = list(range(g.n))
+    levels = stabilizer_chain(g)
+    size = 1
+    for level in levels:
+        size *= len(level)
+    if size > MAX_GROUP_ORDER:
+        return [identity]
+    group = [identity]
+    for level in levels:
+        group = [[t[u] for u in p] for t in level for p in group]
+    return group
+
+
+def stabilizer_chain(g: Graph) -> list[list[list[int]]]:
+    """Transversals of a stabilizer chain of g's automorphism group.
+
+    Built along _search_order: the level of order[i] holds one automorphism
+    for each image of order[i] while order[:i] stays fixed, the identity
+    first. Levels with one element are left out, and the deepest level
+    comes first. The levels are built deepest first, so an image reached by
+    composing automorphisms already found needs no search. Together the
+    transversals generate the group; nothing here lists its elements.
     """
     n = g.n
     order = _search_order(g)
     identity = list(range(n))
     found: list[list[int]] = []
     levels: list[list[list[int]]] = []
-    size = 1
     fixed = g.full_mask
     for i in reversed(range(n)):
         v = order[i]
@@ -313,15 +332,9 @@ def automorphism_group(g: Graph) -> list[list[int]]:
                     if y not in orbit:
                         orbit[y] = [p[u] for u in orbit[x]]
                         todo.append(y)
-        size *= len(orbit)
-        if size > MAX_GROUP_ORDER:
-            return [identity]
         if len(orbit) > 1:
             levels.append(list(orbit.values()))
-    group = [identity]
-    for level in levels:
-        group = [[t[u] for u in p] for t in level for p in group]
-    return group
+    return levels
 
 
 def _extend(g: Graph, order: list[int], mapping: list[int], i: int, allowed: int) -> bool:

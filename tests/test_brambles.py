@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,9 @@ from chipwidth.brambles import (
     ElementLimitError,
     WrongRegimeError,
     _element_holders,
+    _family_symmetry,
+    _greedy_hitting_set,
+    _HittingSearch,
     classify_family,
     gen_balanced_bramble,
     gen_grid_bramble,
@@ -34,6 +40,7 @@ from chipwidth.brambles import (
 from chipwidth.graphs import (
     Graph,
     InvalidFamilyError,
+    automorphism_group,
     bits_list,
     grid_lines,
     make_family,
@@ -64,7 +71,8 @@ def oracle_hitting_set(elements: tuple[int, ...], n: int) -> tuple[int, int]:
 
 
 def pairwise_classification(g: Graph, elements: list[int]) -> tuple[str, tuple | None]:
-    """classify_family by the direct test of every pair, in index order."""
+    """classify_family by the direct test of every pair, in index order, with
+    no symmetry: the plain scan the symmetric path must agree with."""
     for i, e in enumerate(elements):
         if not is_connected_set(g, e):
             return "not_bramble", (i, i)
@@ -75,6 +83,23 @@ def pairwise_classification(g: Graph, elements: list[int]) -> tuple[str, tuple |
         if disjoint is None and not elements[i] & elements[j]:
             disjoint = (i, j)
     return ("strict_bramble", None) if disjoint is None else ("bramble", disjoint)
+
+
+def plain_root_hitting_set(b: Bramble) -> tuple[int, int, int]:
+    """min_hitting_set with no symmetry: every size's decision search starts
+    at the plain root. Its order, witness and search nodes."""
+    n = b.graph.n
+    search = _HittingSearch(b.elements, n)
+    full = (1 << n) - 1
+    upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
+    k = search.degree_bound(search.everything, full)
+    while k < upper and not search.exists(search.everything, k, full):
+        k += 1
+    return k, search.lex_least(k), search.nodes
+
+
+def permuted(p: list[int], e: int) -> int:
+    return sum(1 << p[v] for v in bits_list(e))
 
 
 def subset_treewidth(g: Graph) -> int:
@@ -249,19 +274,130 @@ def test_hitting_set_matches_oracle(b):
     assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, b.graph.n)
 
 
+def test_hitting_set_rejects_bad_elements():
+    # Bramble() skips from_elements' checks; an empty element once made the
+    # greedy bound loop forever, so each case runs in its own interpreter
+    # under a timeout and a hang fails instead of stalling the suite
+    script = """
+from chipwidth.brambles import Bramble, BrambleError, min_hitting_set
+from chipwidth.graphs import make_family
+g = make_family("grid", 2, 1)
+for elements, error in (((1, 0), BrambleError), ((1, 4), ValueError)):
+    try:
+        min_hitting_set(Bramble(g, elements))
+    except error:
+        continue
+    raise SystemExit(f"no {error.__name__} for {elements}")
+"""
+    src = Path(brambles.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+SYMMETRIC_GRAPHS = (
+    make_family("grid", 3, 3),
+    make_family("grid", 4, 2),
+    make_family("stacked_prism", 4, 2),
+    make_family("stacked_prism", 6, 1),
+    make_family("stacked_prism", 3, 3),
+    make_family("toroidal_grid", 3, 3),
+    make_family("toroidal_grid", 4, 3),
+    complete_graph(5),
+)
+
+
+@st.composite
+def symmetric_families(draw) -> tuple[Graph, list[int]]:
+    # connected seed sets closed under the graph's automorphisms, in a drawn
+    # order; then as they are, with some elements dropped (some generators
+    # no longer map the family onto itself), relabelled, or with an element
+    # repeated (the fast path must step aside)
+    g = draw(st.sampled_from(SYMMETRIC_GRAPHS))
+    group = automorphism_group(g)
+    family = set()
+    for _ in range(draw(st.integers(1, 3))):
+        e = 1 << draw(st.integers(0, g.n - 1))
+        for _ in range(draw(st.integers(0, g.n - 1))):
+            e |= 1 << draw(st.sampled_from(bits_list(g.neighborhood(e) & ~e or e)))
+        family.update(permuted(p, e) for p in group)
+    elements = draw(st.permutations(sorted(family)))
+    variant = draw(st.sampled_from(("closed", "dropped", "relabeled", "repeated")))
+    if variant == "dropped" and len(elements) > 1:
+        for _ in range(draw(st.integers(1, len(elements) // 2))):
+            del elements[draw(st.integers(0, len(elements) - 1))]
+    elif variant == "relabeled":
+        p = draw(st.permutations(range(g.n)))
+        g, elements = g.relabeled(p), [permuted(p, e) for e in elements]
+    elif variant == "repeated":
+        elements.insert(draw(st.integers(0, len(elements))), draw(st.sampled_from(elements)))
+    return g, elements
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symmetric_families())
+def test_symmetric_paths_match_plain_references(family):
+    g, elements = family
+    c = classify_family(g, elements)
+    assert (c.verdict, c.counterexample) == pairwise_classification(g, elements)
+    b = Bramble(g, tuple(elements))
+    cert = min_hitting_set(b)
+    assert (cert.order, cert.witness) == plain_root_hitting_set(b)[:2]
+
+
+def test_stock_bramble_with_an_element_dropped():
+    # without one element the family loses most of its symmetry: Γ drops
+    # the generators that map another element onto the missing one, and
+    # both calls still agree with the plain references
+    for kind, m, n, gen in (("toroidal_grid", 5, 3, gen_torus_cde),
+                            ("toroidal_grid", 4, 3, gen_torus_fg),
+                            ("stacked_prism", 6, 3, gen_prism_collapsed)):
+        g = make_family(kind, m, n)
+        elements = gen(g).elements
+        for i in (0, len(elements) // 2):
+            dropped = elements[:i] + elements[i + 1:]
+            whole_orbits = _family_symmetry(g, elements)[0]
+            assert len(_family_symmetry(g, dropped)[0]) > len(whole_orbits)
+            c = classify_family(g, dropped)
+            assert (c.verdict, c.counterexample) == pairwise_classification(g, list(dropped))
+            b = Bramble(g, dropped)
+            cert = min_hitting_set(b)
+            assert (cert.order, cert.witness) == plain_root_hitting_set(b)[:2], (kind, m, n, i)
+
+
+def test_collapsed_prism_symmetry_on_y84():
+    # the open-line witness keeps only 4 of Y8,4's 32 automorphisms; Γ must
+    # find exactly their orbits, and a stray automorphism would break the
+    # order or the witness
+    g = make_family("stacked_prism", 8, 4)
+    b = gen_prism_collapsed(g)
+    group = automorphism_group(g)
+    present = set(b.elements)
+    keeps = [p for p in group if all(permuted(p, e) in present for e in b.elements)]
+    assert (len(group), len(keeps)) == (32, 4)
+    # in order of their least vertex
+    orbits = sorted({sum(1 << p[v] for p in keeps) for v in range(g.n)}, key=lambda o: o & -o)
+    assert _family_symmetry(g, b.elements)[0] == orbits
+    assert classify_family(g, b.elements).verdict == "strict_bramble"
+    cert = min_hitting_set(b)
+    order, witness, plain_nodes = plain_root_hitting_set(b)
+    assert (cert.order, cert.witness) == (order, witness) and order == 7
+    assert cert.nodes < plain_nodes
+
+
 # (kind, m, n, generator): order, lex-least witness, search nodes
 STOCK_ORDERS = {
-    ("grid", 4, 4, gen_grid_bramble): (4, [0, 1, 2, 3], 52),
-    ("grid", 5, 5, gen_grid_bramble): (5, [0, 1, 2, 3, 4], 399),
-    ("stacked_prism", 7, 3, gen_prism_b1): (6, [0, 1, 2, 3, 4, 5], 2079),
-    ("stacked_prism", 5, 4, gen_prism_b2): (5, [0, 4, 8, 12, 16], 605),
-    ("toroidal_grid", 4, 3, gen_torus_fg): (6, [0, 1, 2, 3, 4, 5], 259),
-    ("toroidal_grid", 5, 3, gen_torus_cde): (5, [0, 1, 2, 3, 4], 280),
-    ("toroidal_grid", 6, 3, gen_torus_cde): (5, [0, 1, 3, 4, 8], 451),
-    ("toroidal_grid", 5, 3, gen_balanced_bramble): (6, [0, 1, 2, 3, 7, 8], 751),
-    ("stacked_prism", 7, 4, gen_prism_b2): (7, [0, 1, 2, 3, 4, 5, 6], 22374),
-    ("stacked_prism", 4, 2, gen_prism_collapsed): (3, [0, 1, 4], 13),
-    ("stacked_prism", 6, 3, gen_prism_collapsed): (5, [0, 1, 2, 6, 7], 418),
+    ("grid", 4, 4, gen_grid_bramble): (4, [0, 1, 2, 3], 26),
+    ("grid", 5, 5, gen_grid_bramble): (5, [0, 1, 2, 3, 4], 166),
+    ("stacked_prism", 7, 3, gen_prism_b1): (6, [0, 1, 2, 3, 4, 5], 490),
+    ("stacked_prism", 5, 4, gen_prism_b2): (5, [0, 4, 8, 12, 16], 351),
+    ("toroidal_grid", 4, 3, gen_torus_fg): (6, [0, 1, 2, 3, 4, 5], 116),
+    ("toroidal_grid", 5, 3, gen_torus_cde): (5, [0, 1, 2, 3, 4], 76),
+    ("toroidal_grid", 6, 3, gen_torus_cde): (5, [0, 1, 3, 4, 8], 148),
+    ("toroidal_grid", 5, 3, gen_balanced_bramble): (6, [0, 1, 2, 3, 7, 8], 260),
+    ("stacked_prism", 7, 4, gen_prism_b2): (7, [0, 1, 2, 3, 4, 5, 6], 4588),
+    ("stacked_prism", 4, 2, gen_prism_collapsed): (3, [0, 1, 4], 11),
+    ("stacked_prism", 6, 3, gen_prism_collapsed): (5, [0, 1, 2, 6, 7], 207),
 }
 
 
@@ -296,6 +432,16 @@ def test_stock_orders_pinned():
     for (kind, m, n, gen), want in STOCK_ORDERS.items():
         cert = min_hitting_set(gen(make_family(kind, m, n)))
         assert (cert.order, bits_list(cert.witness), cert.nodes) == want, (kind, m, n)
+
+
+def test_orbital_root_saves_nodes_on_stock():
+    # the plain root finds the same order and witness with more nodes
+    for kind, m, n, gen in STOCK_ORDERS:
+        b = gen(make_family(kind, m, n))
+        cert = min_hitting_set(b)
+        order, witness, plain_nodes = plain_root_hitting_set(b)
+        assert (cert.order, cert.witness) == (order, witness)
+        assert cert.nodes < plain_nodes, (kind, m, n)
 
 
 def test_collapsed_prism_bramble_is_the_lifted_b2():

@@ -1,12 +1,14 @@
 """Names other code reaches by string must exist: the functions the
 benchmark tracer wraps, and the package's export list. Names a module
-or a test imports must be used. The README's python example must run."""
+or a test imports must be used. The README's python example must run, and
+every benchmark record must parse."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -62,3 +64,16 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_bench_records_parse():
+    # each speed claim rests on a BENCH_*.json record at the root; one that
+    # does not parse, or lacks what it was measured against and how, proves
+    # nothing
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        missing = [key for key in ("title", "parent_commit", "command", "method", "claim")
+                   if key not in record]
+        assert not missing, (path.name, missing)
