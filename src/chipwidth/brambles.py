@@ -80,11 +80,22 @@ class ElementLimitError(BrambleError):
 
 @dataclass(frozen=True)
 class Bramble:
-    """Deduplicated element masks over a graph, tagged with a family label."""
+    """Element masks over a graph, tagged with a family label. Checked once,
+    here: there is at least one element, and each is a nonempty set of the
+    graph's vertices. Elements may repeat; from_elements drops repeats."""
 
     graph: Graph
     elements: tuple[int, ...]
     label: str = "custom"
+
+    def __post_init__(self) -> None:
+        if not self.elements:
+            raise BrambleError("bramble needs at least one element")
+        least = min(self.elements)
+        if least == 0:
+            raise BrambleError("empty element")
+        if least < 0 or max(self.elements) >> self.graph.n:
+            raise BrambleError("element contains a vertex outside the graph")
 
     @classmethod
     def from_elements(
@@ -94,21 +105,13 @@ class Bramble:
         label: str = "custom",
     ) -> "Bramble":
         seen: dict[int, None] = {}
-        n = graph.n
         for e in elements:
-            # an empty or out-of-range element is never in seen
             if e not in seen:
-                if e == 0:
-                    raise BrambleError("empty element")
-                if e >> n:
-                    raise BrambleError("element contains a vertex outside the graph")
                 if len(seen) >= DEFAULT_ELEMENT_LIMIT:
                     raise ElementLimitError(
                         f"more than {DEFAULT_ELEMENT_LIMIT} distinct elements; raise the cap"
                     )
                 seen[e] = None
-        if not seen:
-            raise BrambleError("bramble needs at least one element")
         return cls(graph, tuple(seen), label)
 
     def __len__(self) -> int:
@@ -433,12 +436,10 @@ class _HittingSearch:
         counts.sort(reverse=True)
         need = unhit.bit_count()
         used = 0
-        for c in counts:
+        while need > 0:
+            need -= counts[used]
             used += 1
-            need -= c
-            if need <= 0:
-                return used
-        return 0
+        return used
 
     def exists(self, unhit: int, size: int, allowed: int) -> bool:
         """Can `size` vertices of the allowed mask hit every unhit element?
@@ -462,8 +463,10 @@ class _HittingSearch:
 
     def exists_by_orbits(self, size: int, orbits: list[int]) -> bool:
         """exists(everything, size, all vertices), branching at the root on
-        the vertex orbits of a group that maps the elements onto themselves,
-        in order of their least vertex.
+        disjoint vertex masks in order of their least vertex: the vertex
+        orbits of a group that maps the elements onto themselves, or the
+        vertices of the smallest element one by one, which is exists' own
+        root branching.
 
         Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, 2011):
         if a hitting set meets orbit O_i first, a group element maps it to
@@ -471,7 +474,7 @@ class _HittingSearch:
         avoids O_1 ... O_(i-1). So child i takes that vertex and bars the
         earlier orbits; a transitive group leaves one child."""
         self.nodes += 1
-        unhit = self.everything  # not empty: a family with no elements has no Γ
+        unhit = self.everything  # not empty: a bramble has an element
         allowed = (1 << self.n) - 1
         if size <= 0 or self.degree_bound(unhit, allowed) > size:
             return False
@@ -516,26 +519,18 @@ def min_hitting_set(b: Bramble) -> OrderCertificate:
     Γ's vertex orbits instead. The witness is the lexicographically least
     optimal hitting set, so equal inputs always give byte-equal
     certificates.
-
-    An empty element raises BrambleError, and a vertex outside the graph
-    ValueError.
     """
     n = b.graph.n
-    elements = b.elements
-    if 0 in elements:
-        raise BrambleError("empty element")
-    if elements and (min(elements) < 0 or max(elements) >> n):
-        raise ValueError("set contains a vertex outside the graph")
-    sym = _family_symmetry(b.graph, elements)
-    orbits = None if sym is None or len(sym[0]) == n else sym[0]
-    search = _HittingSearch(elements, n)
+    sym = _family_symmetry(b.graph, b.elements)
+    search = _HittingSearch(b.elements, n)
+    if sym is None or len(sym[0]) == n:
+        orbits = [bit(v) for v in iter_bits(search.elements[0])]
+    else:
+        orbits = sym[0]
     full = (1 << n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)
-    while k < upper and not (
-        search.exists(search.everything, k, full) if orbits is None
-        else search.exists_by_orbits(k, orbits)
-    ):
+    while k < upper and not search.exists_by_orbits(k, orbits):
         k += 1
     witness = search.lex_least(k)
     return OrderCertificate(k, witness, search.nodes)

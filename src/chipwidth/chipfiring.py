@@ -75,10 +75,6 @@ class Divisor:
                 raise ChipFiringError(f"divisor has {len(vec)} entries, graph has {g.n}")
         return cls(tuple(int(c) for c in vec))
 
-    @classmethod
-    def zero(cls, g: Graph) -> "Divisor":
-        return cls((0,) * g.n)
-
     @property
     def degree(self) -> int:
         return sum(self.chips)
@@ -304,6 +300,8 @@ def _first_burn(nbrs: list[list[int]], run: list[tuple[int, ...]], k: int) -> st
     n = len(nbrs)
     size = len(run)
     full = (1 << size) - 1
+    # chips fit a byte: a winner exists by degree n, and for n >= 256 the
+    # count of degree 256 alone is over ENUMERATION_CAP
     data = bytes(chain.from_iterable(run))
     below = []
     for w in range(n):
@@ -350,7 +348,7 @@ def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
     doubling runs through _first_burn, and a divisor it settles loses at
     its lowest chipless vertex after one test, as the scalar test would
     find; every other divisor gets the scalar test, in order. So does a
-    last run shorter than _RUN, and every divisor of 256 chips or more.
+    last run shorter than _RUN.
     """
     nbrs = _neighbor_lists(g, "the gonality game")
     if max_degree is None:
@@ -387,7 +385,7 @@ def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
             run = list(islice(divisors, size))
             if not run:
                 break
-            batched = len(run) >= _RUN and k < 256
+            batched = len(run) >= _RUN
             settled = _first_burn(nbrs, run, k) if batched else "0" * len(run)
             size *= 2
         last_losing = losing

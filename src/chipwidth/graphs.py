@@ -157,18 +157,11 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         return bits_list(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def neighborhood(self, mask: int) -> int:
         """Union of adjacencies over a vertex set (may overlap the set)."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from operator import or_
 from typing import Callable, Sequence
 
@@ -82,11 +83,20 @@ class TdFormatError(DecompositionError):
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """Bags indexed by node id 0..k-1 plus tree edges between node ids."""
+    """Bags indexed by node id 0..k-1 plus tree edges between node ids.
+    Checked once, here: the nodes and edges form a tree (NotATreeError
+    otherwise), and every bag is a set of the num_graph_vertices vertices.
+    The three decomposition conditions depend on the graph, so
+    validate_tree_decomposition judges them."""
 
     bags: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     num_graph_vertices: int
+
+    def __post_init__(self) -> None:
+        _check_tree(self)
+        if min(self.bags) < 0 or max(self.bags).bit_length() > self.num_graph_vertices:
+            raise DecompositionError("bag contains a vertex outside the graph")
 
     @property
     def width(self) -> int:
@@ -177,19 +187,14 @@ def _check_tree(td: TreeDecomposition) -> None:
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationReport:
     """Check the three decomposition conditions, reporting the first failure.
 
-    Raises NotATreeError when the node/edge structure is not a tree; the
-    three conditions are only judged on structurally sound input.
+    td is a tree over sets of its num_graph_vertices vertices, checked when
+    it was built; one for another vertex count raises DecompositionError.
     """
-    _check_tree(td)
     if td.num_graph_vertices != g.n:
         raise DecompositionError(
             f"decomposition is for {td.num_graph_vertices} vertices, graph has {g.n}"
         )
-    covered = 0
-    for b in td.bags:
-        if b >> g.n:
-            raise DecompositionError("bag contains a vertex outside the graph")
-        covered |= b
+    covered = reduce(or_, td.bags)
     if covered != g.full_mask:
         missing = (~covered & g.full_mask & -(~covered & g.full_mask)).bit_length() - 1
         return ValidationReport(False, 1, missing)
@@ -582,8 +587,6 @@ def covering_bag(td: TreeDecomposition, bramble) -> CoveringBag:
     returning.
     """
     elements = bramble.elements
-    if not elements:
-        raise ValueError("bramble has no elements")
     report = validate_tree_decomposition(bramble.graph, td)
     if not report.valid:
         raise DecompositionError(
@@ -683,6 +686,8 @@ def read_td(text: str) -> TreeDecomposition:
             num_bags, declared_width, num_vertices = parse_ints(
                 parts[2:], lineno, TdFormatError
             )
+            if num_vertices < 0:
+                raise TdFormatError(f"line {lineno}: negative vertex count")
         elif parts[0] == "b":
             if num_bags == -1:
                 raise TdFormatError(f"line {lineno}: bag before solution line")

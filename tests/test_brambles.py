@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-import subprocess
-import sys
 from functools import lru_cache
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -275,24 +272,15 @@ def test_hitting_set_matches_oracle(b):
 
 
 def test_hitting_set_rejects_bad_elements():
-    # Bramble() skips from_elements' checks; an empty element once made the
-    # greedy bound loop forever, so each case runs in its own interpreter
-    # under a timeout and a hang fails instead of stalling the suite
-    script = """
-from chipwidth.brambles import Bramble, BrambleError, min_hitting_set
-from chipwidth.graphs import make_family
-g = make_family("grid", 2, 1)
-for elements, error in (((1, 0), BrambleError), ((1, 4), ValueError)):
-    try:
-        min_hitting_set(Bramble(g, elements))
-    except error:
-        continue
-    raise SystemExit(f"no {error.__name__} for {elements}")
-"""
-    src = Path(brambles.__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 0, done.stdout + done.stderr
+    # Bramble checks its elements where it is built, so min_hitting_set
+    # never sees an empty element (which once made the greedy bound loop
+    # forever) or a vertex outside the graph
+    g = make_family("grid", 2, 1)
+    for elements, message in (((1, 0), "empty element"),
+                              ((1, 4), "outside the graph"),
+                              ((1, -1), "outside the graph")):
+        with pytest.raises(BrambleError, match=message):
+            Bramble(g, elements)
 
 
 SYMMETRIC_GRAPHS = (
@@ -599,8 +587,11 @@ def test_generator_element_cap(monkeypatch):
 
 
 def test_bramble_needs_elements():
-    with pytest.raises(BrambleError):
-        Bramble.from_elements(make_family("grid", 3, 1), [], "empty")
+    g = make_family("grid", 3, 1)
+    with pytest.raises(BrambleError, match="at least one element"):
+        Bramble.from_elements(g, [], "empty")
+    with pytest.raises(BrambleError, match="at least one element"):
+        Bramble(g, ())
 
 
 # --- file format -----------------------------------------------------------------------

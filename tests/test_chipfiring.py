@@ -46,7 +46,7 @@ def test_divisor_constructors():
     d = Divisor.of(C4, {1: 2, 3: -1})
     assert d.chips == (0, 2, 0, -1) and d.degree == 1
     assert not d.is_effective
-    assert Divisor.zero(C4).degree == 0
+    assert Divisor((0,) * C4.n).degree == 0
     with pytest.raises(ChipFiringError):
         Divisor.of(C4, [1, 2, 3])
     with pytest.raises(ChipFiringError):
@@ -449,7 +449,7 @@ def test_disconnected_graph_refused():
     with pytest.raises(ChipFiringError):
         exact_gonality(two_edges)
     with pytest.raises(ChipFiringError):
-        q_reduce(two_edges, Divisor.zero(two_edges), 0)
+        q_reduce(two_edges, Divisor((0,) * two_edges.n), 0)
 
 
 def test_winning_generators_families():

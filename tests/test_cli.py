@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 
+import chipwidth.chipfiring as chipfiring
 import chipwidth.cli as cli
 from chipwidth.cli import _interval_verdict, main
 from chipwidth.graphs import FamilyMeta, Graph, write_gr
@@ -117,6 +118,31 @@ def test_verify_td_flags_violation(tmp_path, capsys):
     assert cert["verdict"] == "invalid"
     assert cert["witness"]["condition"] == 2
     assert cert["witness"]["witness"] == [2, 3]
+
+
+def test_verify_td_names_vertices_from_one(tmp_path, capsys):
+    # conditions 1 and 3 name a vertex, printed 1-indexed like the files
+    gr = tmp_path / "p3.gr"
+    td = tmp_path / "p3.td"
+    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    for text, condition, vertex in (
+        ("s td 2 2 3\nb 1 1 2\nb 2 2\n1 2\n", 1, 3),  # vertex 3 in no bag
+        ("s td 3 2 3\nb 1 1 2\nb 2 2 3\nb 3 1\n1 2\n2 3\n", 3, 1),  # bags 1, 3 hold 1
+    ):
+        td.write_text(text)
+        code, out, _ = run(capsys, "verify-td", str(gr), str(td))
+        assert code == 1
+        assert json.loads(out)["witness"] == {"condition": condition, "witness": vertex}
+
+
+def test_verify_td_non_tree(tmp_path, capsys):
+    # a .td whose bags are not joined into a tree is an error, not a verdict
+    gr = tmp_path / "p3.gr"
+    td = tmp_path / "p3.td"
+    gr.write_text("p tw 3 2\n1 2\n2 3\n")
+    td.write_text("s td 2 2 3\nb 1 1 2\nb 2 2 3\n")
+    code, out, err = run(capsys, "verify-td", str(gr), str(td))
+    assert (code, out, err) == (1, "", "error: 2 nodes need 1 tree edges, got 0\n")
 
 
 def test_verify_td_malformed_file(tmp_path, capsys):
@@ -392,6 +418,16 @@ def test_reproduce_flags_a_false_formula(capsys, monkeypatch):
     assert code == 1
     assert "tw(G3,3) claimed 4 computed 3 mismatch (width formula)" in out
     assert out.strip().splitlines()[-1].endswith(" mismatch 1 skipped_size 5")
+
+
+def test_reproduce_gonality_row_at_the_cap(capsys, monkeypatch):
+    # an enumeration stopped by the cap certifies only a lower bound: with
+    # 100 divisors both gonality rows stop at degree 3, below their claims
+    monkeypatch.setattr(chipfiring, "ENUMERATION_CAP", 100)
+    code, out, _ = run(capsys, "reproduce", "--max-vertices", "9")
+    assert code == 0
+    assert "gon(Y4,2) claimed 4 computed >=3 within_interval (computed benchmark)" in out
+    assert "gon(T3,3) claimed 6 computed >=3 within_interval (companion result)" in out
 
 
 def test_reproduce_budget_is_per_row(capsys):

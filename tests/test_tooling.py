@@ -1,7 +1,7 @@
 """Names other code reaches by string must exist: the functions the
 benchmark tracer wraps, and the package's export list. Names a module
-or a test imports must be used. The README's python example must run, and
-every benchmark record must parse."""
+or a test imports must be used. The README's python example and its
+command-line block must run, and every benchmark record must parse."""
 
 from __future__ import annotations
 
@@ -10,7 +10,10 @@ import importlib
 import importlib.util
 import json
 import re
+import shlex
 from pathlib import Path
+
+import chipwidth.cli as cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -64,6 +67,18 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # every command of the README's "Command line" block runs and exits 0,
+    # in order and in one directory, so a documented command or option the
+    # CLI lacks fails here
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = [shlex.split(line) for line in block.group(1).splitlines()]
+    assert commands and all(argv[0] == "chipwidth" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 def test_bench_records_parse():

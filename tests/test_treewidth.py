@@ -98,25 +98,27 @@ def test_validate_condition3_disconnected_trace():
 
 
 def test_validate_rejects_non_tree():
-    cyclic = TreeDecomposition((mask(0, 1), mask(1, 2), mask(0, 2)),
-                               ((0, 1), (1, 2), (0, 2)), 3)
+    # a structure that is no tree is refused where it is built, so the
+    # validator never sees one
+    with pytest.raises(NotATreeError, match="no nodes"):
+        TreeDecomposition((), (), 3)
     with pytest.raises(NotATreeError):
-        validate_tree_decomposition(P3, cyclic)
-    disconnected = TreeDecomposition((mask(0, 1), mask(1, 2), mask(2)),
-                                     ((0, 1), (0, 1)), 3)
+        TreeDecomposition((mask(0, 1), mask(1, 2), mask(0, 2)), ((0, 1), (1, 2), (0, 2)), 3)
     with pytest.raises(NotATreeError):
-        validate_tree_decomposition(P3, disconnected)
+        TreeDecomposition((mask(0, 1), mask(1, 2), mask(2)), ((0, 1), (0, 1)), 3)
+    with pytest.raises(NotATreeError, match="do not connect"):
+        TreeDecomposition((mask(0, 1), mask(1, 2), mask(2), mask(0)), ((0, 1), (1, 2), (2, 0)), 3)
 
 
 def test_validate_rejects_decomposition_of_another_graph():
-    # a decomposition for 4 vertices, or one naming vertex 3, is not judged
-    # on the 3 vertices of P3
+    # a decomposition for 4 vertices is not judged on the 3 vertices of P3,
+    # and one naming vertex 3 of 3 is refused where it is built
     td = TreeDecomposition((mask(0, 1), mask(1, 2)), ((0, 1),), 4)
     with pytest.raises(DecompositionError, match="for 4 vertices, graph has 3"):
         validate_tree_decomposition(P3, td)
-    td = TreeDecomposition((mask(0, 1), mask(1, 2, 3)), ((0, 1),), 3)
-    with pytest.raises(DecompositionError, match="vertex outside the graph"):
-        validate_tree_decomposition(P3, td)
+    for bags in ((mask(0, 1), mask(1, 2, 3)), (mask(0, 1), -1)):
+        with pytest.raises(DecompositionError, match="vertex outside the graph"):
+            TreeDecomposition(bags, ((0, 1),), 3)
 
 
 def reference_validate(g: Graph, td: TreeDecomposition) -> ValidationReport:
@@ -810,3 +812,5 @@ def test_td_rejections():
         read_td("s td 1 2 1_0\nb 1 1 2\n")  # an underscore
     with pytest.raises(TdFormatError):
         read_td("s td 0 0 2\n")  # no bags
+    with pytest.raises(TdFormatError, match="line 1: negative vertex count"):
+        read_td("s td 1 0 -3\nb 1\n")
