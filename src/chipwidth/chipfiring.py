@@ -19,19 +19,18 @@ to v, and with "loses" when the fire reaches every vertex.
 
 exact_gonality runs that first burn for many divisors at once. Almost
 every divisor it enumerates loses at its lowest chipless vertex in the
-first round, so after a scalar head each degree goes in runs, and one
-bit-sliced burn over big ints (bit i for the i-th divisor of the run)
-settles those divisors together. Only the divisors it leaves open get the
+first round, so after a scalar head each degree is built in runs of
+chip bytes straight from the enumeration, and one bit-sliced burn over
+big ints settles a run together. Only the divisors it leaves open get the
 scalar winning test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice
 from math import comb
-from operator import sub
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphs import (
     Graph,
@@ -240,9 +239,8 @@ def is_winning_divisor(g: Graph, d: Divisor) -> tuple[bool, int | None]:
     """Can d pay off any single opponent chip? Returns the first vertex
     where it cannot (lowest id), or None when d wins everywhere.
 
-    d loses at v iff the v-reduced form of d - (v) is in debt at v. The
-    test skips every v with d(v) >= 1 and runs Dhar's burn from v on
-    d - (v) otherwise, stopping as soon as v is out of debt.
+    d loses at v iff the v-reduced form of d - (v) is in debt at v; the
+    module docstring describes the test.
     """
     _check_divisor(g, d)
     if not d.is_effective:
@@ -273,36 +271,39 @@ class GonalityResult:
     reductions: int
 
 
-def _effective_divisors(n: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """All chip tuples of the given degree, in ascending lexicographic order.
+def _divisor_rows(sums: Iterable[tuple[int, ...]], k: int, count: int) -> bytes:
+    """The next count divisors of degree k (no more than are left), as
+    rows of n chip bytes in lexicographic order.
 
-    Stars and bars: the running sums of the first n - 1 entries are a
-    non-decreasing sequence in [0, degree], and those sequences come out of
-    combinations_with_replacement in the same lexicographic order.
+    sums is combinations_with_replacement(range(k + 1), n - 1): running sums
+    of the first n - 1 chips. Row (s1, ..., s(n-1), k) minus itself shifted
+    a byte, lane 0 masked, is the divisor; sums never decrease, so no borrow
+    crosses a lane. Chips fit a byte: a winner exists by degree n, and for
+    n >= 256 degree 256 alone is over ENUMERATION_CAP.
     """
-    for sums in combinations_with_replacement(range(degree + 1), n - 1):
-        yield tuple(map(sub, (*sums, degree), (0, *sums)))
+    kb = bytes((k,))
+    data = kb.join(map(bytes, islice(sums, count))) + kb
+    x = int.from_bytes(data, "big")
+    lanes = int.from_bytes((b"\0" + b"\xff" * (len(data) // count - 1)) * count, "big")
+    return (x - ((x >> 8) & lanes)).to_bytes(len(data), "big")
 
 
-def _first_burn(nbrs: list[list[int]], run: list[tuple[int, ...]], k: int) -> str:
+def _first_burn(nbrs: list[list[int]], data: bytes, k: int) -> str:
     """Which divisors of a run lose at their lowest chipless vertex in the
-    first round of its burn: character i is "1" when run[i] does.
+    first round of its burn: character i is "1" when row i of data does.
 
-    Bit-sliced over big ints, with the most significant of len(run) bits
-    for run[0]. below[w][t - 1] marks the divisors with fewer than t chips
-    on w; heat[t - 1] marks those with at least t burnt neighbours of w, so
-    w ignites where heat[t - 1] & below[w][t - 1] for some t. Levels stop
-    at k + 1, the least heat that beats every chip count of degree k.
-    Each burn starts at the divisor's lowest chipless vertex, whose chips
-    the first round never reads, and sweeps repeat until no vertex
-    ignites: a monotone burn ends in the same set in any order.
+    data is a run from _divisor_rows. Bit-sliced over big ints, with the
+    most significant bit for row 0. below[w][t - 1] marks the divisors with
+    fewer than t chips on w; heat[t - 1] marks those with at least t burnt
+    neighbours of w, so w ignites where heat[t - 1] & below[w][t - 1] for
+    some t. Levels stop at k + 1, the least heat that beats every chip
+    count of degree k. Each burn starts at the divisor's lowest chipless
+    vertex, whose chips the first round never reads, and sweeps repeat until
+    no vertex ignites: a monotone burn ends in the same set in any order.
     """
     n = len(nbrs)
-    size = len(run)
+    size = len(data) // n
     full = (1 << size) - 1
-    # chips fit a byte: a winner exists by degree n, and for n >= 256 the
-    # count of degree 256 alone is over ENUMERATION_CAP
-    data = bytes(chain.from_iterable(run))
     below = []
     for w in range(n):
         column = data[w::n]
@@ -341,14 +342,12 @@ def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
 
     Degrees are scanned upward; within a degree, divisors are tried in
     lexicographic order, so the reported winner is the lexicographically
-    least one of minimum degree. No symmetry reduction is attempted. The
-    first _RUN divisors of a degree get the winning test of
-    is_winning_divisor one by one (the burn from each v with d(v) = 0,
-    stopping once v is out of debt, at O(E) per round). The rest go in
-    doubling runs through _first_burn, and a divisor it settles loses at
-    its lowest chipless vertex after one test, as the scalar test would
-    find; every other divisor gets the scalar test, in order. So does a
-    last run shorter than _RUN.
+    least one of minimum degree. No symmetry reduction is attempted. Each
+    degree comes from _divisor_rows in the runs _RUN describes. A divisor
+    that _first_burn settles loses at its lowest chipless vertex after one
+    test, as the scalar test would find; every other one gets the winning
+    test of is_winning_divisor, in order. Chip tuples are cut from a run
+    only for that test and the losing proof.
     """
     nbrs = _neighbor_lists(g, "the gonality game")
     if max_degree is None:
@@ -359,35 +358,34 @@ def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
     reductions = 0
     last_losing: list[tuple[tuple[int, ...], int]] = []
     for k in range(max_degree + 1):
-        count = comb(g.n + k - 1, k) if k else 1
+        count = comb(g.n + k - 1, k)
         if checked + count > ENUMERATION_CAP:
             return GonalityResult(None, "lower_bound_only", None,
                                   tuple(last_losing), k, checked, reductions)
         losing: list[tuple[tuple[int, ...], int]] = []
-        divisors = _effective_divisors(g.n, k)
-        # the head is drawn lazily, since a winner there ends the search
-        run: Iterable[tuple[int, ...]] = islice(divisors, _RUN)
-        settled = "0" * _RUN
-        size = _RUN
-        while True:
-            for chips, first in zip(run, settled):
-                checked += 1
+        sums = combinations_with_replacement(range(k + 1), g.n - 1)
+        done = 0
+        while done < count:
+            stop = min(2 * done or _RUN, count)
+            data = _divisor_rows(sums, k, stop - done)
+            # the head goes one by one: a winner there ends the search
+            settled = (_first_burn(nbrs, data, k) if done and stop - done >= _RUN
+                       else "0" * _RUN)
+            for chips, first in zip(zip(*[iter(data)] * g.n), settled):
                 if first == "1":
-                    fail_v = chips.index(0)
-                else:
-                    fail_v = _losing_vertex(nbrs, chips)
-                    if fail_v is None:
-                        reductions += chips.count(0)
-                        return GonalityResult(k, "exact", Divisor(chips),
-                                              tuple(last_losing), k, checked, reductions)
-                reductions += chips[:fail_v + 1].count(0)
+                    losing.append((chips, chips.index(0)))
+                    continue
+                fail_v = _losing_vertex(nbrs, chips)
+                if fail_v is None:
+                    reductions += len(losing) + chips.count(0)
+                    return GonalityResult(k, "exact", Divisor(chips), tuple(last_losing),
+                                          k, checked + len(losing) + 1, reductions)
+                # its test at fail_v is counted below
+                reductions += chips[:fail_v].count(0)
                 losing.append((chips, fail_v))
-            run = list(islice(divisors, size))
-            if not run:
-                break
-            batched = len(run) >= _RUN
-            settled = _first_burn(nbrs, run, k) if batched else "0" * len(run)
-            size *= 2
+            done = stop
+        checked += count
+        reductions += count
         last_losing = losing
     return GonalityResult(None, "lower_bound_only", None,
                           tuple(last_losing), max_degree + 1, checked, reductions)

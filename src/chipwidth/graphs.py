@@ -14,7 +14,8 @@ one-column prism Y(k,1); they carry those labels. grid_lines(g) gives the
 rows and columns of any labelled graph as bitmasks.
 
 Family metadata is checked once, where a Graph is built: Graph refuses a
-grid, prism or torus label whose formula does not give its edges. Every
+grid, prism or torus label whose formula does not give its edges, and
+make_family, which takes its edges from the formula, sets it after. Every
 reader of g.family (rows and columns, brambles, stock divisors, the claims
 table) can therefore trust it.
 """
@@ -228,7 +229,9 @@ def make_family(kind: str, m: int, n: int) -> Graph:
     k, 1) and a cycle make_family("stacked_prism", k, 1).
     """
     fam = FamilyMeta(kind, m, n)
-    return Graph(m * n, _family_edges(fam), fam)
+    g = Graph(m * n, _family_edges(fam))
+    g.family = fam  # the formula's own edges: the label needs no check
+    return g
 
 
 def family_graphs(max_vertices: int) -> Iterator[Graph]:

@@ -17,7 +17,6 @@ from chipwidth.chipfiring import (
     Divisor,
     FiringScript,
     GonalityResult,
-    _effective_divisors,
     apply_firing_script,
     exact_gonality,
     gen_winning_divisor,
@@ -276,12 +275,26 @@ def test_gonality_matches_reference_enumeration(g):
     assert res.reductions == reductions
 
 
+def effective_divisors(n: int, degree: int, run: int | None = None) -> list[tuple[int, ...]]:
+    """Every divisor of one degree from chipfiring._divisor_rows, built in
+    runs of `run` rows (one run when None) and cut into chip tuples."""
+    count = comb(n + degree - 1, degree)
+    run = run or count
+    sums = itertools.combinations_with_replacement(range(degree + 1), n - 1)
+    data = b"".join(chipfiring._divisor_rows(sums, degree, min(run, count - done))
+                    for done in range(0, count, run))
+    return list(zip(*[iter(data)] * n))
+
+
 def test_effective_divisor_order_unchanged():
-    for n in range(1, 9):
-        for degree in range(7):
-            got = list(_effective_divisors(n, degree))
-            assert got == list(reference_effective_divisors(n, degree))
-            assert len(got) == comb(n + degree - 1, degree)
+    # n = 1 and degree 0 are in the ranges; degree 255 fills a byte lane, so
+    # a borrow between lanes would show there
+    cases = [(n, degree) for n in range(1, 9) for degree in range(7)] + [(1, 255), (2, 255)]
+    for n, degree in cases:
+        want = list(reference_effective_divisors(n, degree))
+        assert effective_divisors(n, degree) == want
+        assert effective_divisors(n, degree, run=5) == want
+        assert len(want) == comb(n + degree - 1, degree)
 
 
 @pytest.mark.parametrize("kind,m,n,reductions", [
@@ -311,7 +324,7 @@ def scalar_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
             return GonalityResult(None, "lower_bound_only", None,
                                   tuple(last_losing), k, checked, reductions)
         losing = []
-        for chips in _effective_divisors(g.n, k):
+        for chips in effective_divisors(g.n, k):
             checked += 1
             fail_v = chipfiring._losing_vertex(nbrs, chips)
             if fail_v is None:
@@ -353,8 +366,8 @@ def test_batched_gonality_matches_scalar_loop(monkeypatch):
     first_burn = chipfiring._first_burn
     marks = {"0": 0, "1": 0}
 
-    def counted(nbrs, run, k):
-        settled = first_burn(nbrs, run, k)
+    def counted(nbrs, data, k):
+        settled = first_burn(nbrs, data, k)
         marks["0"] += settled.count("0")
         marks["1"] += settled.count("1")
         return settled
@@ -384,6 +397,14 @@ def test_batched_gonality_matches_scalar_loop(monkeypatch):
 ])
 def test_batched_gonality_matches_scalar_loop_on_families(kind, m, n):
     g = make_family(kind, m, n)
+    assert exact_gonality(g) == scalar_gonality(g)
+
+
+@pytest.mark.parametrize("length", [64, 65, 128, 129])
+def test_batched_gonality_matches_scalar_loop_at_run_boundaries(length):
+    # the cycle's length is its degree-1 count: exactly the head, the head
+    # and one divisor more, the head and one run, and one divisor past that
+    g = make_family("stacked_prism", length, 1)
     assert exact_gonality(g) == scalar_gonality(g)
 
 

@@ -1,7 +1,8 @@
 """Names other code reaches by string must exist: the functions the
 benchmark tracer wraps, and the package's export list. Names a module
-or a test imports must be used. The README's python example and its
-command-line block must run, and every benchmark record must parse."""
+or a test imports must be used, and so must a module's private names.
+The README's python example and its command-line block must run, and
+every benchmark record must parse."""
 
 from __future__ import annotations
 
@@ -59,6 +60,36 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused, unused
+
+
+def test_private_names_used_in_src():
+    # a module-level _name that no code in src/ reads is dead or serves only
+    # the tests; reads are names, attributes and imports, and a definition
+    # or an assignment is none of these
+    defined = []
+    read = set()
+    for path in sorted((ROOT / "src" / "chipwidth").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    assert defined
+    unread = [f"{module}: {name}" for module, name in defined if name not in read]
+    assert not unread, unread
 
 
 def test_readme_quick_start_runs():
