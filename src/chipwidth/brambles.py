@@ -23,15 +23,17 @@ witness slot by slot. The hot loops walk vertex lists or peel the lowest
 set bit in place; the iter_bits generator costs a frame resume per vertex.
 
 Both calls use one symmetry group Γ per family, built once per graph and
-element tuple: the automorphisms of the graph, from its stabilizer chain,
-that map the element set onto itself. Each candidate generator is checked
-on every element, and one whose images are not all elements is rejected.
-Meeting and touching are Γ-invariant, so classification searches only one
-element per Γ-orbit when that proves a strict bramble; any other family
-takes the full scan, so counterexamples do not depend on Γ. The order's
-decision search branches at its root on Γ's vertex orbits (orbital
-branching); the witness is fixed without Γ, so it stays the same. Γ may be
-smaller than the family's full stabilizer, which costs speed only.
+element tuple: the automorphisms of the graph that map the element set
+onto itself. Every element of automorphism_group(g) is offered as a
+generator and checked on every element; one whose images are not all
+elements is rejected. So Γ's vertex orbits are those of the family's whole
+stabilizer, unless g's group is larger than graphs.MAX_GROUP_ORDER: then Γ
+is trivial, which costs speed only. Meeting and touching are Γ-invariant,
+so classification searches only one element per Γ-orbit when that proves a
+strict bramble; any other family takes the full scan, so counterexamples
+do not depend on Γ. The order's decision search branches at its root on
+Γ's vertex orbits (orbital branching); the witness is fixed without Γ, so
+it stays the same.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import (
     Graph,
     InvalidFamilyError,
+    automorphism_group,
     bit,
     bits_list,
     grid_lines,
@@ -54,7 +57,6 @@ from .graphs import (
     mask_connected,
     mask_of,
     parse_ints,
-    stabilizer_chain,
 )
 
 # Most distinct elements Bramble.from_elements accepts before it raises
@@ -80,13 +82,12 @@ class ElementLimitError(BrambleError):
 
 @dataclass(frozen=True)
 class Bramble:
-    """Element masks over a graph, tagged with a family label. Checked once,
-    here: there is at least one element, and each is a nonempty set of the
-    graph's vertices. Elements may repeat; from_elements drops repeats."""
+    """Element masks over a graph. Checked once, here: there is at least one
+    element, and each is a nonempty set of the graph's vertices. Elements
+    may repeat; from_elements drops repeats."""
 
     graph: Graph
     elements: tuple[int, ...]
-    label: str = "custom"
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -98,12 +99,7 @@ class Bramble:
             raise BrambleError("element contains a vertex outside the graph")
 
     @classmethod
-    def from_elements(
-        cls,
-        graph: Graph,
-        elements: Iterable[int],
-        label: str = "custom",
-    ) -> "Bramble":
+    def from_elements(cls, graph: Graph, elements: Iterable[int]) -> "Bramble":
         seen: dict[int, None] = {}
         for e in elements:
             if e not in seen:
@@ -112,7 +108,7 @@ class Bramble:
                         f"more than {DEFAULT_ELEMENT_LIMIT} distinct elements; raise the cap"
                     )
                 seen[e] = None
-        return cls(graph, tuple(seen), label)
+        return cls(graph, tuple(seen))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -230,13 +226,16 @@ def _build_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
     """Γ for the elements, or None when there are none or one of them is
     empty, outside the graph or repeated.
 
-    The candidate generators come from g's stabilizer chain (_candidates).
-    A candidate that joins no two vertex orbits of the generators kept so
-    far is skipped. The others are kept only if every element's image is an
-    element, and rejected at the first image that is not; an image is the
-    OR of one table lookup per byte of the element. Γ, generated by the
-    kept candidates, may be smaller than the family's full stabilizer in
-    Aut(g); that costs speed only.
+    The candidate generators are the elements of automorphism_group(g) but
+    the identity. A candidate that joins no two vertex orbits of the
+    generators kept so far is skipped. The others are kept only if every
+    element's image is an element, and rejected at the first image that is
+    not; an image is the OR of one table lookup per byte of the element.
+    A candidate that maps the element set onto itself is therefore kept or
+    maps each vertex into its orbit, so Γ, generated by the kept
+    candidates, has the vertex orbits of the family's whole stabilizer in
+    Aut(g). Past MAX_GROUP_ORDER, automorphism_group gives the identity
+    alone and Γ is trivial; that costs speed only.
     """
     n = g.n
     if not elements or min(elements) <= 0 or max(elements) >> n:
@@ -253,7 +252,7 @@ def _build_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
     holding: list[int] | None = None
     orbit_of = list(range(n))  # vertex -> least vertex of its orbit
     kept: list[list[int]] = []  # per kept candidate, index -> image index
-    for p in _candidates(stabilizer_chain(g)):
+    for p in automorphism_group(g)[1:]:
         if all(orbit_of[p[v]] == orbit_of[v] for v in range(n)):
             continue
         if holding is not None and any(holding[p[v]] != holding[v] for v in range(n)):
@@ -306,28 +305,6 @@ def _build_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
                     seen[y] = 1
                     todo.append(y)
     return [orbits[o] for o in sorted(orbits)], representatives
-
-
-def _candidates(levels: list[list[list[int]]]) -> Iterator[list[int]]:
-    """The transversal elements of a stabilizer chain (levels deepest
-    first), top level first; each top-level element is followed by its
-    products with the deeper levels' elements. The top level holds one
-    coset representative per image of the chain's first base point, and
-    the products offer other representatives of the same coset:
-    (0 2)(1 3)(4 6)(5 7), which keeps prism_collapsed on Y4,2, is such a
-    product and no transversal element. Products of the deeper levels are
-    left out: on graphs with large groups their number grows much faster
-    (the edgeless 24-vertex graph would give about six times as many)."""
-    if not levels:
-        return
-    top, *deeper = levels[::-1]
-    for t in top[1:]:
-        yield t
-        for level in deeper:
-            for u in level[1:]:
-                yield [t[x] for x in u]
-    for level in deeper:
-        yield from level[1:]
 
 
 def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
@@ -552,7 +529,7 @@ def _require_family(g: Graph, kind: str, what: str) -> tuple[list[int], list[int
 def gen_grid_bramble(g: Graph) -> Bramble:
     """Crosses: the union of row i and column j, for every (i, j)."""
     rows, cols = _require_family(g, "grid", "grid bramble")
-    return Bramble.from_elements(g, (row | col for row in rows for col in cols), "grid_b")
+    return Bramble.from_elements(g, (row | col for row in rows for col in cols))
 
 
 def gen_prism_b1(g: Graph) -> Bramble:
@@ -570,7 +547,7 @@ def gen_prism_b1(g: Graph) -> Bramble:
                 for r1, r2 in combinations(rows[:d] + rows[d + 1:], 2):
                     yield cut | r1 | r2
 
-    return Bramble.from_elements(g, gen(), "prism_b1")
+    return Bramble.from_elements(g, gen())
 
 
 def gen_prism_b2(g: Graph) -> Bramble:
@@ -600,7 +577,7 @@ def gen_prism_b2(g: Graph) -> Bramble:
                 for d in others:
                     yield pair | (c1 & ~d) | (c2 & ~d)
 
-    return Bramble.from_elements(g, gen(), "prism_b2")
+    return Bramble.from_elements(g, gen())
 
 
 def gen_prism_collapsed(g: Graph) -> Bramble:
@@ -614,7 +591,7 @@ def gen_prism_collapsed(g: Graph) -> Bramble:
         raise WrongRegimeError(f"collapsed bramble needs m = 2n, got m={m}, n={n}")
     small = gen_prism_b2(make_family("stacked_prism", m - 1, n))
     lifts = (e << n | e & rows[0] for e in small.elements)
-    return Bramble.from_elements(g, lifts, "prism_collapsed")
+    return Bramble.from_elements(g, lifts)
 
 
 def gen_torus_cde(g: Graph) -> Bramble:
@@ -668,7 +645,7 @@ def gen_torus_cde(g: Graph) -> Bramble:
                         for e in cut_rows:
                             yield base | e
 
-    return Bramble.from_elements(g, gen(), "torus_cde")
+    return Bramble.from_elements(g, gen())
 
 
 def _product_no_triple(choices: list[int], count: int) -> list[tuple[int, ...]]:
@@ -708,7 +685,7 @@ def gen_torus_fg(g: Graph) -> Bramble:
                         for c2 in other_cols:
                             yield left | (r2 & ~c2)
 
-    return Bramble.from_elements(g, gen(), "torus_fg")
+    return Bramble.from_elements(g, gen())
 
 
 def gen_balanced_bramble(g: Graph) -> Bramble:
@@ -746,7 +723,7 @@ def gen_balanced_bramble(g: Graph) -> Bramble:
             below = bit(root) - 1  # the root is the lowest vertex of its sets
             yield from grow(bit(root), g.adj[root] & ~below, below)
 
-    return Bramble.from_elements(g, gen(), "balanced")
+    return Bramble.from_elements(g, gen())
 
 
 # --- bramble file format ------------------------------------------------------
@@ -762,7 +739,7 @@ def write_bramble(b: Bramble) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_bramble(text: str, g: Graph, label: str = "custom") -> Bramble:
+def read_bramble(text: str, g: Graph) -> Bramble:
     header: tuple[int, int] | None = None
     elements: dict[int, None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -790,4 +767,4 @@ def read_bramble(text: str, g: Graph, label: str = "custom") -> Bramble:
         raise BrambleError("missing header line")
     if len(elements) != header[0]:
         raise BrambleError(f"declared {header[0]} elements, found {len(elements)}")
-    return Bramble.from_elements(g, elements, label)
+    return Bramble.from_elements(g, elements)

@@ -22,6 +22,7 @@ table) can therefore trust it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -259,46 +260,28 @@ def grid_lines(g: Graph) -> tuple[list[int], list[int]]:
 
 
 # Automorphism groups larger than this are replaced by the identity alone:
-# the width search pays for every element at every state.
+# the width search pays for every element at every state, and the bramble
+# checks offer every element as a generator of their symmetry group.
 MAX_GROUP_ORDER = 1024
 
 
 def automorphism_group(g: Graph) -> list[list[int]]:
     """Every automorphism of g as a vertex permutation, the identity first.
 
-    The group is every product of one element per level of
-    stabilizer_chain(g), each element once. Its order, the product of the
-    level sizes, is known before any element is built; past
+    A stabilizer chain is built along _search_order: the level of order[i]
+    holds one automorphism for each image of order[i] while order[:i] stays
+    fixed, the identity first, and levels with one element are left out.
+    The levels are built deepest first, so an image reached by composing
+    automorphisms already found needs no search. The group is every product
+    of one element per level, each element once. Its order, the product of
+    the level sizes, is known before any element is built; past
     MAX_GROUP_ORDER the result is the identity alone.
-    """
-    identity = list(range(g.n))
-    levels = stabilizer_chain(g)
-    size = 1
-    for level in levels:
-        size *= len(level)
-    if size > MAX_GROUP_ORDER:
-        return [identity]
-    group = [identity]
-    for level in levels:
-        group = [[t[u] for u in p] for t in level for p in group]
-    return group
-
-
-def stabilizer_chain(g: Graph) -> list[list[list[int]]]:
-    """Transversals of a stabilizer chain of g's automorphism group.
-
-    Built along _search_order: the level of order[i] holds one automorphism
-    for each image of order[i] while order[:i] stays fixed, the identity
-    first. Levels with one element are left out, and the deepest level
-    comes first. The levels are built deepest first, so an image reached by
-    composing automorphisms already found needs no search. Together the
-    transversals generate the group; nothing here lists its elements.
     """
     n = g.n
     order = _search_order(g)
     identity = list(range(n))
     found: list[list[int]] = []
-    levels: list[list[list[int]]] = []
+    levels: list[list[list[int]]] = []  # deepest first
     fixed = g.full_mask
     for i in reversed(range(n)):
         v = order[i]
@@ -330,57 +313,78 @@ def stabilizer_chain(g: Graph) -> list[list[list[int]]]:
                         todo.append(y)
         if len(orbit) > 1:
             levels.append(list(orbit.values()))
-    return levels
+    size = 1
+    for level in levels:
+        size *= len(level)
+    if size > MAX_GROUP_ORDER:
+        return [identity]
+    group = [identity]
+    for level in levels:
+        group = [[t[u] for u in p] for t in level for p in group]
+    return group
 
 
 def _extend(g: Graph, order: list[int], mapping: list[int], i: int, allowed: int) -> bool:
     """Complete mapping to an automorphism of g by backtracking.
 
-    mapping sends order[:i] into g and holds -1 elsewhere; order[i] may go
-    only to the vertices in the bitmask allowed. Returns whether a
-    completion exists, which is then left in mapping.
+    mapping sends order[:i], i < n, into g and holds -1 elsewhere; order[i]
+    may go only to the vertices in the bitmask allowed. Returns whether a
+    completion exists, which is then left in mapping. The images of each
+    vertex are tried in ascending order, so the completion is the first in
+    that order; the backtracking keeps its own stack, so the depth of the
+    graph is not bounded by Python's recursion limit.
     """
-    n, full, adj = g.n, g.full_mask, g.adj
+    n, adj = g.n, g.adj
     # mapped holds order[:j] and taken their images
     mapped = taken = 0
     for v in order[:i]:
         mapped |= 1 << v
         taken |= 1 << mapping[v]
-
-    def step(j: int, allowed: int) -> bool:
-        nonlocal mapped, taken
-        if j == n:
-            return True
+    # per vertex of order[i:j + 1]: (want, its untried images), None until
+    # the vertex is first reached
+    path: list[tuple[int, int] | None] = [None]
+    while path:
+        j = i + len(path) - 1
         v = order[j]
-        # an image of v is adjacent to the images of its mapped neighbours
-        # and to no other mapped vertex
-        want = 0
-        pool = full & allowed & ~taken
-        for u in iter_bits(adj[v] & mapped):
-            want |= 1 << mapping[u]
-            pool &= adj[mapping[u]]
+        if path[-1] is None:
+            # an image of v is adjacent to the images of its mapped
+            # neighbours and to no other mapped vertex
+            want = 0
+            pool = (allowed if j == i else g.full_mask) & ~taken
+            for u in iter_bits(adj[v] & mapped):
+                want |= 1 << mapping[u]
+                pool &= adj[mapping[u]]
+        else:
+            want, pool = path[-1]
         dv = adj[v].bit_count()
-        for w in iter_bits(pool):
-            if adj[w].bit_count() != dv or adj[w] & taken != want:
-                continue
-            mapping[v] = w
-            mapped |= 1 << v
-            taken |= 1 << w
-            if step(j + 1, -1):
-                return True
-            mapped ^= 1 << v
-            taken ^= 1 << w
-        mapping[v] = -1
-        return False
-
-    return step(i, allowed)
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            w = low.bit_length() - 1
+            if adj[w].bit_count() == dv and adj[w] & taken == want:
+                break
+        else:
+            # no image left: the vertex before v takes its next one
+            mapping[v] = -1
+            path.pop()
+            if path:
+                u = order[j - 1]
+                mapped ^= 1 << u
+                taken ^= 1 << mapping[u]
+            continue
+        path[-1] = (want, pool)
+        mapping[v] = w
+        mapped |= 1 << v
+        taken |= low
+        if j + 1 == n:
+            return True
+        path.append(None)
+    return False
 
 
 def _search_order(g: Graph) -> list[int]:
     # Rarest degree first, then grow so every vertex sees a mapped neighbor
     # when the graph is connected; falls back to fresh seeds per component.
-    from collections import Counter
-
     adj = g.adj
     deg = [a.bit_count() for a in adj]
     freq = Counter(deg)

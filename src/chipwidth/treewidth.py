@@ -518,8 +518,7 @@ def exact_treewidth(
     over another graph, or a family that is not a bramble, raises
     BrambleError. The check runs before the search and outside limits: no
     state cap or time budget bounds it, and on a large witness it can take
-    longer than the search (the 82,656 torus_cde elements on T8,4 take 5.6 to
-    8.5 s on one core of a shared 2-core machine).
+    longer than the search (the README gives wall times).
     """
     if not g.is_connected():
         raise ValueError("treewidth solver expects a connected graph")

@@ -141,10 +141,10 @@ def test_criterion_3_bramble_order_certificates():
         cls = classify_family(g, b.elements)
         want_verdict = "strict_bramble" if want_strict else "bramble"
         _check(failures, cls.verdict == want_verdict,
-               f"{b.label} on {kind} {m},{n}: classified {cls.verdict}")
+               f"{gen.__name__} on {kind} {m},{n}: classified {cls.verdict}")
         cert = min_hitting_set(b)
         _check(failures, cert.order == want_order,
-               f"{b.label} on {kind} {m},{n}: order {cert.order}, want {want_order}")
+               f"{gen.__name__} on {kind} {m},{n}: order {cert.order}, want {want_order}")
     _finish(3, "bramble order certificates", failures)
 
 
@@ -274,7 +274,7 @@ def _random_bramble(rng: random.Random, g: Graph) -> Bramble | None:
                 break
     if len(elements) < 2:
         return None
-    return Bramble.from_elements(g, elements, "random")
+    return Bramble.from_elements(g, elements)
 
 
 def _oracle_hitting_order(elements: tuple[int, ...], n: int) -> int:

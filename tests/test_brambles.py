@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -39,10 +40,11 @@ from chipwidth.graphs import (
     InvalidFamilyError,
     automorphism_group,
     bits_list,
+    family_graphs,
     grid_lines,
     make_family,
 )
-from chipwidth.treewidth import covering_bag, exact_treewidth
+from chipwidth.treewidth import covering_bag, exact_treewidth, family_claims
 
 
 def mask(*vs: int) -> int:
@@ -228,7 +230,7 @@ def test_element_holders_by_definition(family):
 
 def test_hitting_set_k4_edges():
     k4 = complete_graph(4)
-    b = Bramble.from_elements(k4, [mask(i, j) for i, j in k4.edges], "k4_edges")
+    b = Bramble.from_elements(k4, [mask(i, j) for i, j in k4.edges])
     cert = min_hitting_set(b)
     assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, 4)
     assert bits_list(cert.witness) == [0, 1, 2]  # lexicographically least cover
@@ -236,9 +238,7 @@ def test_hitting_set_k4_edges():
 
 def test_hitting_set_k5_triples():
     k5 = complete_graph(5)
-    b = Bramble.from_elements(
-        k5, [mask(*c) for c in combinations(range(5), 3)], "k5_triples"
-    )
+    b = Bramble.from_elements(k5, [mask(*c) for c in combinations(range(5), 3)])
     assert classify_family(k5, b.elements).verdict == "strict_bramble"
     cert = min_hitting_set(b)
     assert cert.order == 3 == oracle_hitting_set(b.elements, 5)[0]
@@ -246,9 +246,7 @@ def test_hitting_set_k5_triples():
 
 def test_hitting_set_engines_agree():
     k5 = complete_graph(5)
-    b = Bramble.from_elements(
-        k5, [mask(*c) for c in combinations(range(5), 3)], "k5_triples"
-    )
+    b = Bramble.from_elements(k5, [mask(*c) for c in combinations(range(5), 3)])
     cert = min_hitting_set(b)
     assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, 5)
 
@@ -261,7 +259,7 @@ def set_families(draw) -> Bramble:
     small = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 3))
     any_size = st.sets(st.integers(0, n - 1), min_size=1)
     sets = draw(st.lists(st.one_of(small, any_size), min_size=1, max_size=14))
-    return Bramble.from_elements(Graph(n, []), [mask(*e) for e in sets], "random")
+    return Bramble.from_elements(Graph(n, []), [mask(*e) for e in sets])
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -353,6 +351,40 @@ def test_stock_bramble_with_an_element_dropped():
             assert (cert.order, cert.witness) == plain_root_hitting_set(b)[:2], (kind, m, n, i)
 
 
+def image_of(p: list[int]):
+    """e -> permuted(p, e) for sets of at most 16 vertices, by one table per
+    byte of e."""
+    low, high = [0], [0]
+    for v, w in enumerate(p):
+        table = low if v < 8 else high
+        table += [t | 1 << w for t in table]
+    return lambda e: low[e & 255] | high[e >> 8]
+
+
+def test_symmetry_orbits_are_the_whole_stabilizers():
+    # Γ is offered every automorphism, so its vertex orbits are those of the
+    # family's whole stabilizer, found here by checking each automorphism on
+    # every element. T5,3 torus_cde without element 0 is the case a smaller
+    # candidate set misses: its stabilizer has order 2 and 8 vertex orbits
+    checked = 0
+    for g in family_graphs(16):
+        group = automorphism_group(g)
+        for gen in (gen_grid_bramble, gen_prism_b1, gen_prism_b2, gen_prism_collapsed,
+                    gen_torus_cde, gen_torus_fg, gen_balanced_bramble):
+            try:
+                elements = gen(g).elements
+            except (WrongRegimeError, InvalidFamilyError):
+                continue
+            for family in filter(None, (elements, elements[1:])):
+                present = set(family)
+                keeps = [p for p in group if present.issuperset(map(image_of(p), family))]
+                orbits = sorted({reduce(or_, (1 << p[v] for p in keeps)) for v in range(g.n)},
+                                key=lambda o: o & -o)
+                assert _family_symmetry(g, family)[0] == orbits, (g, gen.__name__)
+                checked += 1
+    assert checked == 286
+
+
 def test_collapsed_prism_symmetry_on_y84():
     # the open-line witness keeps only 4 of Y8,4's 32 automorphisms; Γ must
     # find exactly their orbits, and a stray automorphism would break the
@@ -364,7 +396,8 @@ def test_collapsed_prism_symmetry_on_y84():
     keeps = [p for p in group if all(permuted(p, e) in present for e in b.elements)]
     assert (len(group), len(keeps)) == (32, 4)
     # in order of their least vertex
-    orbits = sorted({sum(1 << p[v] for p in keeps) for v in range(g.n)}, key=lambda o: o & -o)
+    orbits = sorted({reduce(or_, (1 << p[v] for p in keeps)) for v in range(g.n)},
+                    key=lambda o: o & -o)
     assert _family_symmetry(g, b.elements)[0] == orbits
     assert classify_family(g, b.elements).verdict == "strict_bramble"
     cert = min_hitting_set(b)
@@ -439,7 +472,7 @@ def test_collapsed_prism_bramble_is_the_lifted_b2():
         g = make_family("stacked_prism", 2 * n, n)
         b = gen_prism_collapsed(g)
         small = gen_prism_b2(make_family("stacked_prism", 2 * n - 1, n))
-        assert len(b) == len(small) and b.label == "prism_collapsed"
+        assert len(b) == len(small) and family_claims(g).witness is gen_prism_collapsed
         assert classify_family(g, b.elements).verdict == "strict_bramble"
         assert min_hitting_set(b).order == min_hitting_set(small).order == 2 * n - 1
 
@@ -523,7 +556,6 @@ def test_balanced_bramble_certifies_torus_margin_two(monkeypatch):
     # the stock torus_cde family reaches here
     g = make_family("toroidal_grid", 5, 3)
     b = gen_balanced_bramble(g)
-    assert b.label == "balanced"
     assert len(b) == 3990
     assert all(e.bit_count() == 8 and is_connected_set(g, e) for e in b.elements)
     assert classify_family(g, b.elements).verdict == "strict_bramble"
@@ -589,7 +621,7 @@ def test_generator_element_cap(monkeypatch):
 def test_bramble_needs_elements():
     g = make_family("grid", 3, 1)
     with pytest.raises(BrambleError, match="at least one element"):
-        Bramble.from_elements(g, [], "empty")
+        Bramble.from_elements(g, [])
     with pytest.raises(BrambleError, match="at least one element"):
         Bramble(g, ())
 

@@ -322,6 +322,9 @@ PINNED = [
      "ba239f16fede34365787ed90158f3508db679a882d34bcb63a623332a3a14441"),
     (("bramble", "order", "--family", "torus_fg", "--m", "4", "--n", "3", "--claimed", "6"), 0,
      "a0155fff936e2899a6c61ac1cebfce7a09112ab527d2be9f96fd32f2cfecdb12"),
+    # 1,200 vertices, more than Python's recursion limit allows one frame each
+    (("bramble", "classify", "--family", "grid", "--m", "40", "--n", "30"), 0,
+     "fef0ddc940197850f31ef1538977c6cd1c6b3da4ac35944af52e3474c9778668"),
     (("gon", "check", "{t43}", "{t43div}"), 0,
      "035b1bae48507213e14b2b7681baa82098085ffcb6c29c39ade7b17b618d753f"),
     (("gon", "exact", "{y42}", "--max-degree", "3"), 0,

@@ -247,12 +247,13 @@ def test_automorphism_group_of_family_graphs():
 
 def test_automorphism_group_orders():
     # the transpose of a square grid, the cube Q3 = Y4,2, K3 x K3 = T3,3,
-    # Q4 = T4,4, D5 x D5 with the transpose on T5,5, D8 x Z2 on Y8,4, and
-    # the 6! of K_{1,6}, under the cap
+    # Q4 = T4,4, D5 x D5 with the transpose on T5,5, D8 x Z2 on Y8,4, the
+    # 6! of K_{1,6}, under the cap, and the 4 of G40,30, whose 1,200 vertices
+    # the backtracking must not take one stack frame each
     star6 = Graph(7, [(0, v) for v in range(1, 7)])
     for g, order in ((grid(5, 5), 8), (prism(4, 2), 48), (torus(3, 3), 72),
                      (torus(4, 4), 384), (torus(5, 5), 200), (prism(8, 4), 32),
-                     (star6, 720)):
+                     (star6, 720), (grid(40, 30), 4)):
         assert len(automorphism_group(g)) == order, g
 
 

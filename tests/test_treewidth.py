@@ -731,7 +731,7 @@ def test_family_witness_grid_and_prism():
     claims, b = family_claims(g), family_bramble(g)
     res = exact_treewidth(g, witness=b)
     assert (claims.low, claims.high, res.treewidth) == (3, 3, 3)
-    assert b.label == "grid_b" and res.witness_lower == 2
+    assert claims.witness is gen_grid_bramble and res.witness_lower == 2
     assert min_hitting_set(b).order == 3
     g = make_family("stacked_prism", 7, 2)
     claims = family_claims(g)
@@ -744,7 +744,7 @@ def test_family_witness_open_interval_prism():
     claims, b = family_claims(g), family_bramble(g)
     res = exact_treewidth(g, witness=b)
     assert (claims.low, claims.high) == (3, 4) and "open" in claims.note
-    assert b.label == "prism_collapsed" and res.witness_lower == 2
+    assert claims.witness is gen_prism_collapsed and res.witness_lower == 2
     assert min_hitting_set(b).order == 3
     assert res.proof_status == "exact" and claims.low <= res.treewidth <= claims.high
 
@@ -765,7 +765,7 @@ def test_family_witness_torus_margin_two():
     claims, b = family_claims(g), family_bramble(g)
     res = exact_treewidth(g, witness=b)
     assert (claims.low, claims.high, res.proof_status, res.treewidth) == (6, 6, "exact", 6)
-    assert b.label == "torus_cde" and res.witness_lower == 4
+    assert claims.witness is gen_torus_cde and res.witness_lower == 4
     assert min_hitting_set(b).order == 5
 
 
