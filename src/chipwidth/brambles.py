@@ -22,13 +22,18 @@ elements. The same search fixes the lexicographically least optimal
 witness slot by slot. The hot loops walk vertex lists or peel the lowest
 set bit in place; the iter_bits generator costs a frame resume per vertex.
 
-Both calls use one symmetry group Γ per family, built once per graph and
-element tuple: the automorphisms of the graph that map the element set
-onto itself. Every element of automorphism_group(g) is offered as a
-generator and checked on every element; one whose images are not all
-elements is rejected. So Γ's vertex orbits are those of the family's whole
-stabilizer, unless g's group is larger than graphs.MAX_GROUP_ORDER: then Γ
-is trivial, which costs speed only. Meeting and touching are Γ-invariant,
+Both calls use one symmetry group Γ per family: the automorphisms of the
+graph that map the element set onto itself. Every element of
+automorphism_group(g) is offered as a generator and checked on every
+element; one whose images are not all elements is rejected. So Γ's vertex
+orbits are those of the family's whole stabilizer, unless g's group is
+larger than graphs.MAX_GROUP_ORDER: then Γ is trivial, which costs speed
+only. The builder keeps its last (graph, elements) answer in a one-entry
+functools cache, so classify_family and min_hitting_set on one family build
+Γ once. Elements it cannot use (none, an empty one, one outside the graph,
+a repeat) get the trivial Γ, one orbit per vertex and every element its own
+representative, which sends both calls down their plain paths. Meeting and
+touching are Γ-invariant,
 so classification searches only one element per Γ-orbit when that proves a
 strict bramble; any other family takes the full scan, so counterexamples
 do not depend on Γ. The order's decision search branches at its root on
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -51,12 +56,13 @@ from .graphs import (
     automorphism_group,
     bit,
     bits_list,
+    connected_span,
     grid_lines,
     iter_bits,
     make_family,
-    mask_connected,
     mask_of,
     parse_ints,
+    records,
 )
 
 # Most distinct elements Bramble.from_elements accepts before it raises
@@ -142,7 +148,7 @@ def is_connected_set(g: Graph, s: int) -> bool:
         raise ValueError("empty vertex set")
     if s >> g.n:
         raise ValueError("set contains a vertex outside the graph")
-    return mask_connected(g.adj, s)
+    return connected_span(g.adj, s) is not None
 
 
 def sets_touch(g: Graph, a: int, b: int) -> bool:
@@ -164,35 +170,6 @@ def _element_holders(elements: Sequence[int], n: int) -> list[int]:
     return [int("".join(col)[::-1], 2) for col in columns][::-1]
 
 
-def _span(adj: tuple[int, ...], e: int) -> tuple[list[int], list[int]] | None:
-    """The vertices of a nonempty set e in search order and the vertices
-    outside e adjacent to it, or None if e does not induce a connected
-    subgraph. One search answers all three: once it has reached all of e,
-    the union of the adjacencies it read is N(e)."""
-    low = e & -e
-    rest = e ^ low  # the vertices of e not reached yet
-    reached = [low.bit_length() - 1]
-    reach = 0
-    for v in reached:
-        a = adj[v]
-        reach |= a
-        new = a & rest
-        rest ^= new
-        while new:
-            low = new & -new
-            reached.append(low.bit_length() - 1)
-            new ^= low
-    if rest:
-        return None
-    rim = []
-    new = reach & ~e
-    while new:
-        low = new & -new
-        rim.append(low.bit_length() - 1)
-        new ^= low
-    return reached, rim
-
-
 # --- the family's symmetry ----------------------------------------------------
 
 
@@ -203,28 +180,11 @@ def _span(adj: tuple[int, ...], e: int) -> tuple[list[int], list[int]] | None:
 _Symmetry = tuple[list[int], list[int]]
 
 
-# (adj, elements, symmetry) of the last call, so that classify_family and
-# min_hitting_set on one family build Γ once. The entry depends on nothing
-# but its key, so sharing it between callers is safe.
-_last_symmetry: list[tuple[tuple[int, ...], tuple[int, ...], _Symmetry | None]] = []
-
-
-def _family_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
-    """_build_symmetry(g, elements), remembered for the last (g.adj,
-    elements) asked."""
-    adj = g.adj
-    if _last_symmetry:
-        last_adj, last_elements, sym = _last_symmetry[0]
-        if last_adj == adj and (last_elements is elements or last_elements == elements):
-            return sym
-    sym = _build_symmetry(g, elements)
-    _last_symmetry[:] = [(adj, elements, sym)]
-    return sym
-
-
-def _build_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
-    """Γ for the elements, or None when there are none or one of them is
-    empty, outside the graph or repeated.
+@lru_cache(maxsize=1)
+def _family_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry:
+    """Γ for the elements, kept for the last (g, elements) asked; the
+    trivial Γ when there are none or one of them is empty, outside the
+    graph or repeated.
 
     The candidate generators are the elements of automorphism_group(g) but
     the identity. A candidate that joins no two vertex orbits of the
@@ -238,11 +198,9 @@ def _build_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry | None:
     alone and Γ is trivial; that costs speed only.
     """
     n = g.n
-    if not elements or min(elements) <= 0 or max(elements) >> n:
-        return None
     index = {e: i for i, e in enumerate(elements)}
-    if len(index) != len(elements):
-        return None
+    if not elements or min(elements) <= 0 or max(elements) >> n or len(index) != len(elements):
+        return [1 << v for v in range(n)], list(range(len(elements)))
     shifts = range(0, n, 8)
     # column s holds byte s / 8 of every element, shared by all candidates
     columns = [[e >> s & 255 for e in elements] for s in shifts]
@@ -318,12 +276,12 @@ def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
     scan, so counterexamples are the same with or without Γ.
     """
     elems = tuple(elements)
-    sym = _family_symmetry(g, elems)
-    if sym is not None and len(sym[1]) < len(elems):
+    representatives = _family_symmetry(g, elems)[1]
+    if len(representatives) < len(elems):
         holder = _element_holders(elems, g.n).__getitem__
         everything = (1 << len(elems)) - 1
-        for i in sym[1]:
-            span = _span(g.adj, elems[i])
+        for i in representatives:
+            span = connected_span(g.adj, elems[i])
             if span is None or reduce(or_, map(holder, span[0])) != everything:
                 break
         else:
@@ -341,7 +299,7 @@ def _classify_scan(g: Graph, elems: tuple[int, ...]) -> Classification:
             return Classification(NOT_BRAMBLE, (i, i))
         if e >> g.n:
             raise ValueError("set contains a vertex outside the graph")
-        span = _span(g.adj, e)
+        span = connected_span(g.adj, e)
         if span is None:
             return Classification(NOT_BRAMBLE, (i, i))
         spans.append(span)
@@ -498,12 +456,10 @@ def min_hitting_set(b: Bramble) -> OrderCertificate:
     certificates.
     """
     n = b.graph.n
-    sym = _family_symmetry(b.graph, b.elements)
+    orbits = _family_symmetry(b.graph, b.elements)[0]
     search = _HittingSearch(b.elements, n)
-    if sym is None or len(sym[0]) == n:
+    if len(orbits) == n:
         orbits = [bit(v) for v in iter_bits(search.elements[0])]
-    else:
-        orbits = sym[0]
     full = (1 << n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)
@@ -742,11 +698,7 @@ def write_bramble(b: Bramble) -> str:
 def read_bramble(text: str, g: Graph) -> Bramble:
     header: tuple[int, int] | None = None
     elements: dict[int, None] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if header is None:
             if parts[0] != "b" or len(parts) != 3:
                 raise BrambleError(f"line {lineno}: expected 'b <elements> <vertices>'")

@@ -38,6 +38,7 @@ from .graphs import (
     grid_lines,
     iter_bits,
     parse_ints,
+    records,
 )
 
 # Most divisors exact_gonality enumerates, over all degrees; read at each
@@ -60,20 +61,6 @@ class Divisor:
 
     chips: tuple[int, ...]
 
-    @classmethod
-    def of(cls, g: Graph, chips: Iterable[int] | dict[int, int]) -> "Divisor":
-        if isinstance(chips, dict):
-            vec = [0] * g.n
-            for v, c in chips.items():
-                if not 0 <= v < g.n:
-                    raise ChipFiringError(f"vertex {v} out of range")
-                vec[v] = c
-        else:
-            vec = list(chips)
-            if len(vec) != g.n:
-                raise ChipFiringError(f"divisor has {len(vec)} entries, graph has {g.n}")
-        return cls(tuple(int(c) for c in vec))
-
     @property
     def degree(self) -> int:
         return sum(self.chips)
@@ -88,13 +75,6 @@ class FiringScript:
     """How many times each vertex fires (negative = borrows)."""
 
     counts: tuple[int, ...]
-
-    @classmethod
-    def of(cls, g: Graph, counts: Iterable[int]) -> "FiringScript":
-        vec = tuple(int(c) for c in counts)
-        if len(vec) != g.n:
-            raise ChipFiringError(f"script has {len(vec)} entries, graph has {g.n}")
-        return cls(vec)
 
     def normalized(self) -> "FiringScript":
         """Shift so the minimum entry is zero; same divisor action."""
@@ -446,11 +426,7 @@ def read_divisor(text: str, g: Graph) -> Divisor:
     declared_degree = 0
     chips = [0] * g.n
     assigned: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if not header_seen:
             if parts[0] != "d" or len(parts) != 3:
                 raise ChipFiringError(f"line {lineno}: expected 'd <vertices> <degree>'")

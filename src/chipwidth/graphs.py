@@ -18,12 +18,20 @@ grid, prism or torus label whose formula does not give its edges, and
 make_family, which takes its edges from the formula, sets it after. Every
 reader of g.family (rows and columns, brambles, stock divisors, the claims
 table) can therefore trust it.
+
+Two helpers are shared by the other modules. connected_span is the one
+connectivity search: Graph.is_connected, the bramble checks and the tree
+check of a decomposition all run it. records is the one loop over the
+lines of a text format; the .td, bramble and divisor readers take their
+lines from it, while read_gr keeps its own, since its "c family" comment
+is data.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -85,6 +93,45 @@ def parse_ints(words: Sequence[str], lineno: int, error: type[Exception]) -> lis
         except ValueError:
             pass
     raise error(f"line {lineno}: expected integers, got {line!r}")
+
+
+def records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, words) for each line of text that is neither blank nor
+    a comment, a line whose first character is "c"; lines count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield lineno, line.split()
+
+
+def connected_span(adj: Sequence[int], s: int) -> tuple[list[int], list[int]] | None:
+    """The vertices of a nonempty set s in search order and the vertices
+    outside s adjacent to it, or None if s does not induce a connected
+    subgraph of the bitmask adjacency adj. One search answers all three:
+    once it has reached all of s, the union of the adjacencies it read is
+    N(s)."""
+    low = s & -s
+    rest = s ^ low  # the vertices of s not reached yet
+    reached = [low.bit_length() - 1]
+    reach = 0
+    for v in reached:
+        a = adj[v]
+        reach |= a
+        new = a & rest
+        rest ^= new
+        while new:
+            low = new & -new
+            reached.append(low.bit_length() - 1)
+            new ^= low
+    if rest:
+        return None
+    rim = []
+    new = reach & ~s
+    while new:
+        low = new & -new
+        rim.append(low.bit_length() - 1)
+        new ^= low
+    return reached, rim
 
 
 @dataclass(frozen=True)
@@ -173,7 +220,7 @@ class Graph:
         return out
 
     def is_connected(self) -> bool:
-        return mask_connected(self.adj, self.full_mask)
+        return connected_span(self.adj, self.full_mask) is not None
 
     def relabeled(self, perm: Sequence[int]) -> "Graph":
         """New graph with vertex v renamed perm[v]. Family metadata drops."""
@@ -185,21 +232,6 @@ class Graph:
     def __repr__(self) -> str:
         fam = f", family={self.family.kind}({self.family.m},{self.family.n})" if self.family else ""
         return f"Graph(n={self.n}, edges={self.num_edges}{fam})"
-
-
-def mask_connected(adj: Sequence[int], mask: int) -> bool:
-    """Is the subgraph induced by mask connected? Empty mask is rejected."""
-    if mask == 0:
-        raise ValueError("empty vertex set has no connectivity verdict")
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        reach = 0
-        for v in iter_bits(frontier):
-            reach |= adj[v]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
 
 
 def _family_edges(fam: FamilyMeta) -> list[tuple[int, int]]:
@@ -265,6 +297,7 @@ def grid_lines(g: Graph) -> tuple[list[int], list[int]]:
 MAX_GROUP_ORDER = 1024
 
 
+@lru_cache(maxsize=1)
 def automorphism_group(g: Graph) -> list[list[int]]:
     """Every automorphism of g as a vertex permutation, the identity first.
 
@@ -276,6 +309,12 @@ def automorphism_group(g: Graph) -> list[list[int]]:
     of one element per level, each element once. Its order, the product of
     the level sizes, is known before any element is built; past
     MAX_GROUP_ORDER the result is the identity alone.
+
+    The result for the last graph asked is kept, so a witness check and the
+    width search that follows it on one graph build the group once. The
+    returned list is therefore shared between calls on one graph and must
+    not be changed. The cap is read when the group is built: after patching
+    MAX_GROUP_ORDER, call automorphism_group.cache_clear().
     """
     n = g.n
     order = _search_order(g)

@@ -21,11 +21,13 @@ memo also keeps one first move per orbit: the first moves go in ascending
 order, so the least vertex of an orbit comes first, and once it is refuted
 every other vertex of its orbit has the same key and is skipped uncounted.
 A group larger than graphs.MAX_GROUP_ORDER is replaced by the identity. The
-group and its image table are built once per graph, and only when a search
-runs. Only infeasible subtrees are skipped, so the witness order, and with
-it the decomposition, is the one the search finds without symmetry. It runs
-under a state cap and a wall-clock budget (60 s by default) and reports
-bounds when either runs out.
+image table is built once per graph, and only when a search runs; the group
+may already have been built by the witness check, whose bramble symmetry
+starts from it, and automorphism_group keeps it for the search to reuse.
+Only infeasible subtrees are skipped, so the witness order, and with it the
+decomposition, is the one the search finds without symmetry. It runs under
+a state cap and a wall-clock budget (60 s by default) and reports bounds
+when either runs out.
 
 A lower bound enters the search from two sources, and the search starts at
 the larger: a minor, contraction_degeneracy, whose minimum degree bounds
@@ -60,9 +62,11 @@ from .graphs import (
     InvalidFamilyError,
     automorphism_group,
     bits_list,
+    connected_span,
     iter_bits,
     mask_of,
     parse_ints,
+    records,
 )
 
 DEFAULT_MAX_STATES = 100_000_000
@@ -161,26 +165,16 @@ def _check_tree(td: TreeDecomposition) -> None:
         raise NotATreeError("decomposition has no nodes")
     if len(td.edges) != k - 1:
         raise NotATreeError(f"{k} nodes need {k - 1} tree edges, got {len(td.edges)}")
-    nbr = [[] for _ in range(k)]
-    seen_edges = set()
+    adj = [0] * k  # node -> bitmask of its tree neighbours
     for a, b in td.edges:
         if not (0 <= a < k and 0 <= b < k) or a == b:
             raise NotATreeError(f"bad tree edge ({a}, {b})")
-        key = (min(a, b), max(a, b))
-        if key in seen_edges:
+        if adj[a] >> b & 1:
             raise NotATreeError(f"repeated tree edge ({a}, {b})")
-        seen_edges.add(key)
-        nbr[a].append(b)
-        nbr[b].append(a)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     # connected + k-1 edges + no repeats => tree
-    stack, seen = [0], {0}
-    while stack:
-        x = stack.pop()
-        for y in nbr[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != k:
+    if connected_span(adj, (1 << k) - 1) is None:
         raise NotATreeError("tree edges do not connect all nodes")
 
 
@@ -495,7 +489,8 @@ def _witness_lower(g: Graph, witness: Bramble) -> int:
     or not, since a strict bramble can reach order tw + 1."""
     if witness.graph.adj != g.adj:
         raise BrambleError("witness bramble is over another graph")
-    cls = classify_family(g, witness.elements)
+    # witness.graph has g's edges; min_hitting_set reads Γ cached for it
+    cls = classify_family(witness.graph, witness.elements)
     if cls.verdict == NOT_BRAMBLE:
         i, j = cls.counterexample
         raise BrambleError(f"witness is not a bramble (elements {i} and {j})")
@@ -672,11 +667,7 @@ def read_td(text: str) -> TreeDecomposition:
     declared_width = -1
     bags: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] == "s":
             if num_bags != -1:
                 raise TdFormatError(f"line {lineno}: repeated solution line")

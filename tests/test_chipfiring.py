@@ -42,38 +42,37 @@ def complete_graph(k: int) -> Graph:
 
 
 def test_divisor_constructors():
-    d = Divisor.of(C4, {1: 2, 3: -1})
-    assert d.chips == (0, 2, 0, -1) and d.degree == 1
+    d = Divisor((0, 2, 0, -1))
+    assert d.degree == 1
     assert not d.is_effective
     assert Divisor((0,) * C4.n).degree == 0
-    with pytest.raises(ChipFiringError):
-        Divisor.of(C4, [1, 2, 3])
-    with pytest.raises(ChipFiringError):
-        Divisor.of(C4, {7: 1})
+    # the length is checked where a divisor meets a graph
+    with pytest.raises(ChipFiringError, match="divisor has 3 entries"):
+        apply_firing_script(C4, Divisor((1, 2, 3)), FiringScript((0,) * C4.n))
 
 
 def test_script_normalization():
-    s = FiringScript.of(C4, [2, -1, 0, 3])
+    s = FiringScript((2, -1, 0, 3))
     assert s.normalized().counts == (3, 0, 1, 4)
-    with pytest.raises(ChipFiringError):
-        FiringScript.of(C4, [1, 2])
+    with pytest.raises(ChipFiringError, match="script has 2 entries"):
+        apply_firing_script(C4, Divisor((0,) * C4.n), FiringScript((1, 2)))
 
 
 def test_apply_single_fire():
-    d = Divisor.of(C4, [3, 0, 0, 0])
-    s = FiringScript.of(C4, [1, 0, 0, 0])
+    d = Divisor((3, 0, 0, 0))
+    s = FiringScript((1, 0, 0, 0))
     assert apply_firing_script(C4, d, s).chips == (1, 1, 0, 1)
 
 
 def test_apply_preserves_degree():
-    d = Divisor.of(C4, [1, -2, 5, 0])
-    s = FiringScript.of(C4, [4, 0, -3, 2])
+    d = Divisor((1, -2, 5, 0))
+    s = FiringScript((4, 0, -3, 2))
     assert apply_firing_script(C4, d, s).degree == d.degree
 
 
 def test_global_fire_is_identity():
-    d = Divisor.of(C4, [1, 2, 0, -1])
-    s = FiringScript.of(C4, [1, 1, 1, 1])
+    d = Divisor((1, 2, 0, -1))
+    s = FiringScript((1, 1, 1, 1))
     assert apply_firing_script(C4, d, s).chips == d.chips
 
 
@@ -81,20 +80,20 @@ def test_global_fire_is_identity():
 
 
 def test_q_reduce_cycle_fixture():
-    reduced, script = q_reduce(C4, Divisor.of(C4, [0, 1, 0, 1]), 0)
+    reduced, script = q_reduce(C4, Divisor((0, 1, 0, 1)), 0)
     assert reduced.chips == (2, 0, 0, 0)
-    assert apply_firing_script(C4, Divisor.of(C4, [0, 1, 0, 1]), script).chips == reduced.chips
+    assert apply_firing_script(C4, Divisor((0, 1, 0, 1)), script).chips == reduced.chips
     assert min(script.counts) == 0
 
 
 def test_q_reduce_handles_debt():
     p2 = make_family("grid", 2, 1)
-    reduced, _ = q_reduce(p2, Divisor.of(p2, [0, -1]), 0)
+    reduced, _ = q_reduce(p2, Divisor((0, -1)), 0)
     assert reduced.chips == (-1, 0)  # debt moves to q, the rest is effective
 
 
 def test_q_reduce_idempotent():
-    d = Divisor.of(C4, [5, -2, 1, 0])
+    d = Divisor((5, -2, 1, 0))
     once, _ = q_reduce(C4, d, 0)
     twice, script = q_reduce(C4, once, 0)
     assert twice.chips == once.chips
@@ -102,14 +101,14 @@ def test_q_reduce_idempotent():
 
 
 def test_q_reduce_other_base_vertex():
-    reduced, _ = q_reduce(C4, Divisor.of(C4, [0, 1, 0, 1]), 2)
+    reduced, _ = q_reduce(C4, Divisor((0, 1, 0, 1)), 2)
     assert reduced.chips == (0, 0, 2, 0)
 
 
 def test_equivalence_and_witness_script():
     # equivalent divisors have one reduced form at vertex 0, and the
     # difference of their reduction scripts moves the one to the other
-    d1, d2 = Divisor.of(C4, [2, 0, 0, 0]), Divisor.of(C4, [0, 1, 0, 1])
+    d1, d2 = Divisor((2, 0, 0, 0)), Divisor((0, 1, 0, 1))
     (r1, s1), (r2, s2) = q_reduce(C4, d1, 0), q_reduce(C4, d2, 0)
     assert r1.chips == r2.chips == (2, 0, 0, 0)
     script = FiringScript(tuple(a - b for a, b in zip(s1.counts, s2.counts)))
@@ -118,8 +117,8 @@ def test_equivalence_and_witness_script():
 
 def test_inequivalent_single_chips():
     # one chip on each of two vertices: the reduced forms at 0 differ
-    r1, _ = q_reduce(C4, Divisor.of(C4, [1, 0, 0, 0]), 0)
-    r2, _ = q_reduce(C4, Divisor.of(C4, [0, 1, 0, 0]), 0)
+    r1, _ = q_reduce(C4, Divisor((1, 0, 0, 0)), 0)
+    r2, _ = q_reduce(C4, Divisor((0, 1, 0, 0)), 0)
     assert r1.chips != r2.chips
 
 
@@ -128,12 +127,12 @@ def test_inequivalent_single_chips():
 
 def test_winning_checks_on_triangle():
     c3 = make_family("stacked_prism", 3, 1)
-    wins, fail = is_winning_divisor(c3, Divisor.of(c3, [1, 1, 0]))
+    wins, fail = is_winning_divisor(c3, Divisor((1, 1, 0)))
     assert wins and fail is None
-    wins, fail = is_winning_divisor(c3, Divisor.of(c3, [1, 0, 0]))
+    wins, fail = is_winning_divisor(c3, Divisor((1, 0, 0)))
     assert not wins and fail is not None
     with pytest.raises(ChipFiringError):
-        is_winning_divisor(c3, Divisor.of(c3, [2, -1, 0]))
+        is_winning_divisor(c3, Divisor((2, -1, 0)))
 
 
 def test_gonality_small_graphs():
@@ -466,7 +465,7 @@ def test_gonality_t44_exact_with_full_losing_proof():
 def test_disconnected_graph_refused():
     two_edges = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ChipFiringError):
-        is_winning_divisor(two_edges, Divisor.of(two_edges, [1, 0, 1, 0]))
+        is_winning_divisor(two_edges, Divisor((1, 0, 1, 0)))
     with pytest.raises(ChipFiringError):
         exact_gonality(two_edges)
     with pytest.raises(ChipFiringError):
@@ -516,7 +515,7 @@ def test_winning_generator_rejections():
 
 
 def test_divisor_format_round_trip():
-    d = Divisor.of(C4, [2, 0, -1, 3])
+    d = Divisor((2, 0, -1, 3))
     text = write_divisor(C4, d)
     assert read_divisor(text, C4).chips == d.chips
     assert write_divisor(C4, read_divisor(text, C4)) == text
@@ -539,6 +538,8 @@ def test_divisor_format_rejections():
         read_divisor("d 4 1_0\n1 1_0\n", C4)  # underscores
     with pytest.raises(ChipFiringError, match="line 2"):
         read_divisor("d 4 3\n1 +3\n", C4)  # a plus sign
+    with pytest.raises(ChipFiringError, match="line 4"):
+        read_divisor("d 4 3\nc a comment\n\n1 +3\n", C4)  # skipped lines count
     with pytest.raises(ChipFiringError, match="line 2"):
         read_divisor("d 4 3\n1 \u0663\n", C4)  # ARABIC-INDIC DIGIT THREE
     assert read_divisor("d 4 -1\n1 -1\n", C4).chips == (-1, 0, 0, 0)  # chips stay signed

@@ -1,8 +1,9 @@
 """Names other code reaches by string must exist: the functions the
 benchmark tracer wraps, and the package's export list. Names a module
 or a test imports must be used, and so must a module's names that the
-package does not export. The README's python example and its
-command-line block must run, and every benchmark record must parse."""
+package does not export and the methods of its classes. The README's
+python example and its command-line block must run, and every benchmark
+record must parse."""
 
 from __future__ import annotations
 
@@ -62,16 +63,30 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def names_read(path: Path) -> set[str]:
+    """The names a module reads: names, attributes and imports; a definition
+    or an assignment is none of these."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
 def test_private_names_used_in_src():
     # a module-level name that chipwidth does not export and no code in src/
-    # reads is dead or serves only the tests; reads are names, attributes
-    # and imports, and a definition or an assignment is none of these
+    # reads is dead or serves only the tests; so is a method or property of
+    # a class in src/ that neither src/ nor the benchmark reads
     exported = set(importlib.import_module("chipwidth").__all__)
     defined = []
+    methods = []
     read = set()
     for path in sorted((ROOT / "src" / "chipwidth").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -81,15 +96,16 @@ def test_private_names_used_in_src():
                 names = []
             defined += [(path.name, name) for name in names
                         if not name.startswith("__") and name not in exported]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
-    assert defined
+            if isinstance(node, ast.ClassDef):
+                methods += [(path.name, node.name, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")]
+        read |= names_read(path)
+    assert defined and methods
     unread = [f"{module}: {name}" for module, name in defined if name not in read]
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        read |= names_read(path)
+    unread += [f"{module}: {cls}.{name}" for module, cls, name in methods if name not in read]
     assert not unread, unread
 
 

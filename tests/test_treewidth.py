@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chipwidth import graphs
 from chipwidth.brambles import (
     Bramble,
     BrambleError,
@@ -102,10 +103,11 @@ def test_validate_rejects_non_tree():
     # validator never sees one
     with pytest.raises(NotATreeError, match="no nodes"):
         TreeDecomposition((), (), 3)
-    with pytest.raises(NotATreeError):
+    with pytest.raises(NotATreeError, match="3 nodes need 2 tree edges, got 3"):
         TreeDecomposition((mask(0, 1), mask(1, 2), mask(0, 2)), ((0, 1), (1, 2), (0, 2)), 3)
-    with pytest.raises(NotATreeError):
-        TreeDecomposition((mask(0, 1), mask(1, 2), mask(2)), ((0, 1), (0, 1)), 3)
+    for edges in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
+        with pytest.raises(NotATreeError, match="repeated"):
+            TreeDecomposition((mask(0, 1), mask(1, 2), mask(2)), edges, 3)
     with pytest.raises(NotATreeError, match="do not connect"):
         TreeDecomposition((mask(0, 1), mask(1, 2), mask(2), mask(0)), ((0, 1), (1, 2), (2, 0)), 3)
 
@@ -324,6 +326,19 @@ def test_witness_is_checked_on_the_graph():
     for elements in ([mask(0), mask(8)], [mask(0, 2), mask(0, 1)]):
         with pytest.raises(BrambleError, match="not a bramble"):
             exact_treewidth(g, witness=Bramble.from_elements(g, elements))
+
+
+def test_witness_check_and_search_build_one_group(monkeypatch):
+    # T5,3 checks its torus_cde witness, whose symmetry group starts from
+    # the automorphism group, and then searches; automorphism_group keeps
+    # the group, and _search_order runs once per build
+    calls = []
+    search_order = graphs._search_order
+    monkeypatch.setattr(graphs, "_search_order", lambda g: calls.append(g) or search_order(g))
+    g = make_family("toroidal_grid", 5, 3)
+    res = exact_treewidth(g, witness=family_bramble(g))
+    assert (res.proof_status, res.treewidth, res.states, res.group_order) == ("exact", 6, 45, 60)
+    assert calls == [g]
 
 
 def test_relabeling_invariance():
@@ -808,6 +823,8 @@ def test_td_rejections():
         read_td("s td 1 2 3\nb\n")  # bag line without an id
     with pytest.raises(TdFormatError, match="line 2"):
         read_td("s td 1 3 3\nb 1 1 2 +3\n")  # a plus sign
+    with pytest.raises(TdFormatError, match="line 4"):
+        read_td("s td 1 3 3\nc a comment\n\nb 1 1 2 +3\n")  # skipped lines count
     with pytest.raises(TdFormatError, match="line 1"):
         read_td("s td 1 2 1_0\nb 1 1 2\n")  # an underscore
     with pytest.raises(TdFormatError):
