@@ -18,32 +18,34 @@ from one decision search, asked for each size in turn from a degree-sum
 lower bound up: it branches on the vertices of the smallest unhit element,
 drops each tried vertex from the later branches, and prunes where the
 largest unhit counts of the allowed vertices cannot add up to the unhit
-elements. The same search fixes the lexicographically least optimal
-witness slot by slot. The hot loops walk vertex lists or peel the lowest
-set bit in place; the iter_bits generator costs a frame resume per vertex.
+elements. It sorts the elements first, so it builds its own holders. The
+same search fixes the lexicographically least optimal witness slot by
+slot. The hot loops walk vertex lists or peel the lowest set bit in place;
+the iter_bits generator costs a frame resume per vertex.
 
-Both calls use one symmetry group Γ per family: the automorphisms of the
-graph that map the element set onto itself. Every element of
-automorphism_group(g) is offered as a generator and checked on every
-element; one whose images are not all elements is rejected. So Γ's vertex
-orbits are those of the family's whole stabilizer, unless g's group is
-larger than graphs.MAX_GROUP_ORDER: then Γ is trivial, which costs speed
-only. The builder keeps its last (graph, elements) answer in a one-entry
-functools cache, so classify_family and min_hitting_set on one family build
-Γ once. Elements it cannot use (none, an empty one, one outside the graph,
-a repeat) get the trivial Γ, one orbit per vertex and every element its own
-representative, which sends both calls down their plain paths. Meeting and
-touching are Γ-invariant,
-so classification searches only one element per Γ-orbit when that proves a
-strict bramble; any other family takes the full scan, so counterexamples
-do not depend on Γ. The order's decision search branches at its root on
-Γ's vertex orbits (orbital branching); the witness is fixed without Γ, so
-it stays the same.
+Both calls read one index per family, built by _family_index: the holders
+in the given element order and a symmetry group Γ, the automorphisms of
+the graph that map the element set onto itself. Every element of
+automorphism_group(g) that keeps each vertex's holder count is offered as
+a generator and checked on every element; one whose images are not all
+elements is rejected. So Γ's vertex orbits are those of the family's whole
+stabilizer, unless g's group is larger than graphs.MAX_GROUP_ORDER: then Γ
+is trivial, which costs speed only. The builder keeps its last (graph,
+elements) answer in a one-entry functools cache, so classify_family and
+min_hitting_set on one family build the index once, and classification
+transposes the elements once. Elements it cannot use (none, an empty one,
+one outside the graph, a repeat) get the trivial Γ, one orbit per vertex
+and every element its own representative, which sends both calls down
+their plain paths. Meeting and touching are Γ-invariant, so
+classification searches only one element per Γ-orbit when that proves a
+strict bramble; any other family takes the full scan over the same
+holders, so counterexamples do not depend on Γ. The order's decision
+search branches at its root on Γ's vertex orbits (orbital branching); the
+witness is fixed without Γ, so it stays the same.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -54,7 +56,6 @@ from .graphs import (
     Graph,
     InvalidFamilyError,
     automorphism_group,
-    bit,
     bits_list,
     connected_span,
     grid_lines,
@@ -170,50 +171,52 @@ def _element_holders(elements: Sequence[int], n: int) -> list[int]:
     return [int("".join(col)[::-1], 2) for col in columns][::-1]
 
 
-# --- the family's symmetry ----------------------------------------------------
+# --- the family index ---------------------------------------------------------
 
 
-# What a group Γ of automorphisms of the graph that maps the element set
-# onto itself tells the two searches: Γ's vertex orbits as masks, in order
-# of their least vertex, and the least element index of each element
-# orbit, ascending. A plain tuple: a class would cost the package's import.
-_Symmetry = tuple[list[int], list[int]]
+# What the two searches read of a family: the vertex orbits, as masks in
+# order of their least vertex, of a group Γ of automorphisms of the graph
+# that maps the element set onto itself; the least element index of each
+# element orbit, ascending; and holders[v] over the elements in the given
+# order. A plain tuple: a class would cost the package's import.
+_Index = tuple[list[int], list[int], list[int]]
 
 
 @lru_cache(maxsize=1)
-def _family_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry:
-    """Γ for the elements, kept for the last (g, elements) asked; the
-    trivial Γ when there are none or one of them is empty, outside the
-    graph or repeated.
+def _family_index(g: Graph, elements: tuple[int, ...]) -> _Index:
+    """Γ and the holders for the elements, kept for the last (g, elements)
+    asked. The trivial Γ when there are none or one of them is empty,
+    outside the graph or repeated; no holders when one is outside the
+    graph, since the scan stops at or before that element.
 
     The candidate generators are the elements of automorphism_group(g) but
     the identity. A candidate that joins no two vertex orbits of the
-    generators kept so far is skipped. The others are kept only if every
-    element's image is an element, and rejected at the first image that is
-    not; an image is the OR of one table lookup per byte of the element.
-    A candidate that maps the element set onto itself is therefore kept or
-    maps each vertex into its orbit, so Γ, generated by the kept
-    candidates, has the vertex orbits of the family's whole stabilizer in
-    Aut(g). Past MAX_GROUP_ORDER, automorphism_group gives the identity
-    alone and Γ is trivial; that costs speed only.
+    generators kept so far is skipped, and so is one that does not keep
+    every vertex's holder count, which a symmetry keeps. The others are
+    kept only if every element's image is an element, and rejected at the
+    first image that is not; an image is the OR of one table lookup per
+    byte of the element. A candidate that maps the element set onto itself
+    is therefore kept or maps each vertex into its orbit, so Γ, generated
+    by the kept candidates, has the vertex orbits of the family's whole
+    stabilizer in Aut(g). Past MAX_GROUP_ORDER, automorphism_group gives
+    the identity alone and Γ is trivial; that costs speed only.
     """
     n = g.n
+    outside = elements and (min(elements) < 0 or max(elements) >> n)
+    holders = [] if outside else _element_holders(elements, n)
     index = {e: i for i, e in enumerate(elements)}
-    if not elements or min(elements) <= 0 or max(elements) >> n or len(index) != len(elements):
-        return [1 << v for v in range(n)], list(range(len(elements)))
+    if not elements or outside or min(elements) == 0 or len(index) != len(elements):
+        return [1 << v for v in range(n)], list(range(len(elements))), holders
+    holding = [h.bit_count() for h in holders]
     shifts = range(0, n, 8)
     # column s holds byte s / 8 of every element, shared by all candidates
     columns = [[e >> s & 255 for e in elements] for s in shifts]
-    # holding[v] counts the elements that hold v. A symmetry keeps it, so
-    # once one candidate has failed on the elements, a candidate that does
-    # not keep it is rejected without looking at them
-    holding: list[int] | None = None
     orbit_of = list(range(n))  # vertex -> least vertex of its orbit
     kept: list[list[int]] = []  # per kept candidate, index -> image index
     for p in automorphism_group(g)[1:]:
         if all(orbit_of[p[v]] == orbit_of[v] for v in range(n)):
             continue
-        if holding is not None and any(holding[p[v]] != holding[v] for v in range(n)):
+        if any(holding[p[v]] != holding[v] for v in range(n)):
             continue
         lookups = []
         for s in shifts:
@@ -228,14 +231,6 @@ def _family_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry:
         try:
             kept.append(list(map(index.__getitem__, images)))
         except KeyError:
-            if holding is None:
-                holding = [0] * n
-                for s, column in zip(shifts, columns):
-                    for x, count in Counter(column).items():
-                        while x:
-                            low = x & -x
-                            holding[s + low.bit_length() - 1] += count
-                            x ^= low
             continue
         for v in range(n):
             a, b = orbit_of[v], orbit_of[p[v]]
@@ -262,37 +257,33 @@ def _family_symmetry(g: Graph, elements: tuple[int, ...]) -> _Symmetry:
                 if not seen[y]:
                     seen[y] = 1
                     todo.append(y)
-    return [orbits[o] for o in sorted(orbits)], representatives
+    return [orbits[o] for o in sorted(orbits)], representatives, holders
 
 
 def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
     """Name the first non-touching pair, else the first disjoint pair, in
     index order.
 
-    Meeting and touching are invariant under the family's symmetry group Γ
-    (see _family_symmetry). So when every element orbit's representative
-    is connected and meets every element, the family is a strict bramble.
-    Every other family, and one whose Γ is trivial, goes through the full
-    scan, so counterexamples are the same with or without Γ.
+    Through the per-vertex holders bitsets an element meets and touches the
+    others in a few big-int ORs, over its vertices and over the vertices of
+    its neighbourhood. Meeting and touching are invariant under the
+    family's symmetry group Γ (see _family_index). So when every element
+    orbit's representative is connected and meets every element, the
+    family is a strict bramble. Every other family, and one whose Γ is
+    trivial, goes through the full scan, so counterexamples are the same
+    with or without Γ.
     """
     elems = tuple(elements)
-    representatives = _family_symmetry(g, elems)[1]
+    _, representatives, holders = _family_index(g, elems)
+    holder = holders.__getitem__
+    everything = (1 << len(elems)) - 1
     if len(representatives) < len(elems):
-        holder = _element_holders(elems, g.n).__getitem__
-        everything = (1 << len(elems)) - 1
         for i in representatives:
             span = connected_span(g.adj, elems[i])
             if span is None or reduce(or_, map(holder, span[0])) != everything:
                 break
         else:
             return Classification(STRICT_BRAMBLE)
-    return _classify_scan(g, elems)
-
-
-def _classify_scan(g: Graph, elems: tuple[int, ...]) -> Classification:
-    """classify_family without symmetry. Through the per-vertex holders
-    bitsets an element meets and touches the others in a few big-int ORs,
-    over its vertices and over the vertices of its neighbourhood."""
     spans = []
     for i, e in enumerate(elems):
         if e == 0:
@@ -303,8 +294,7 @@ def _classify_scan(g: Graph, elems: tuple[int, ...]) -> Classification:
         if span is None:
             return Classification(NOT_BRAMBLE, (i, i))
         spans.append(span)
-    holder = _element_holders(elems, g.n).__getitem__
-    later = (1 << len(elems)) - 1  # indices above i once bit i is cleared
+    later = everything  # indices above i once bit i is cleared
     disjoint_pair: tuple[int, int] | None = None
     for i, (inside, rim) in enumerate(spans):
         later ^= 1 << i
@@ -331,7 +321,7 @@ def _greedy_hitting_set(holders: list[int], unhit: int) -> int:
     while unhit:
         v = max(range(len(holders)),
                 key=lambda u: ((unhit & holders[u]).bit_count(), -u))
-        chosen |= bit(v)
+        chosen |= 1 << v
         unhit &= ~holders[v]
     return chosen
 
@@ -349,7 +339,7 @@ class _HittingSearch:
     def __init__(self, elements: Iterable[int], n: int):
         self.elements = sorted(elements, key=lambda e: (e.bit_count(), e & -e, e))
         self.holders = _element_holders(self.elements, n)
-        self.vertex_holders = [(bit(v), h) for v, h in enumerate(self.holders)]
+        self.vertex_holders = [(1 << v, h) for v, h in enumerate(self.holders)]
         self.n = n
         self.everything = (1 << len(self.elements)) - 1
         self.nodes = 0
@@ -407,12 +397,12 @@ class _HittingSearch:
         if a hitting set meets orbit O_i first, a group element maps it to
         one of the same size that holds the least vertex of O_i and still
         avoids O_1 ... O_(i-1). So child i takes that vertex and bars the
-        earlier orbits; a transitive group leaves one child."""
+        earlier orbits; a transitive group leaves one child. The root is
+        not pruned: min_hitting_set asks only sizes from its degree bound
+        up."""
         self.nodes += 1
         unhit = self.everything  # not empty: a bramble has an element
         allowed = (1 << self.n) - 1
-        if size <= 0 or self.degree_bound(unhit, allowed) > size:
-            return False
         for orbit in orbits:
             low = orbit & -orbit
             if self.exists(unhit & ~self.holders[low.bit_length() - 1], size - 1, allowed ^ low):
@@ -432,7 +422,7 @@ class _HittingSearch:
                 rest = unhit & ~self.holders[v]
                 above = ((1 << self.n) - 1) & ~((1 << (v + 1)) - 1)
                 if self.exists(rest, left, above):
-                    witness |= bit(v)
+                    witness |= 1 << v
                     unhit = rest
                     floor = v + 1
                     break
@@ -450,16 +440,16 @@ def min_hitting_set(b: Bramble) -> OrderCertificate:
     vertices of the smallest unhit element, each tried vertex barred from
     the branches after it, and prunes with the degree-sum bound over
     per-vertex bitsets of element indices. When the family's symmetry
-    group Γ (see _family_symmetry) moves some vertex, the root branches on
+    group Γ (see _family_index) moves some vertex, the root branches on
     Γ's vertex orbits instead. The witness is the lexicographically least
     optimal hitting set, so equal inputs always give byte-equal
     certificates.
     """
     n = b.graph.n
-    orbits = _family_symmetry(b.graph, b.elements)[0]
+    orbits = _family_index(b.graph, b.elements)[0]
     search = _HittingSearch(b.elements, n)
     if len(orbits) == n:
-        orbits = [bit(v) for v in iter_bits(search.elements[0])]
+        orbits = [1 << v for v in iter_bits(search.elements[0])]
     full = (1 << n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)
@@ -676,8 +666,8 @@ def gen_balanced_bramble(g: Graph) -> Bramble:
 
     def gen() -> Iterator[int]:
         for root in range(g.n):
-            below = bit(root) - 1  # the root is the lowest vertex of its sets
-            yield from grow(bit(root), g.adj[root] & ~below, below)
+            below = (1 << root) - 1  # the root is the lowest vertex of its sets
+            yield from grow(1 << root, g.adj[root] & ~below, below)
 
     return Bramble.from_elements(g, gen())
 

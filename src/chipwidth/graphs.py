@@ -58,10 +58,6 @@ _FACTOR_CYCLES = {
 GRID_KINDS = tuple(_FACTOR_CYCLES)
 
 
-def bit(v: int) -> int:
-    return 1 << v
-
-
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:

@@ -379,8 +379,6 @@ def _decide_width(
     the memo before it costs a state.
     """
     n = g.n
-    if n <= k + 1:
-        return True, sorted(range(n))
     # h[v] is Q(S, v) for every v outside the prefix S on the current path:
     # eliminating v joins h[v] into a clique, and returning undoes it
     h = list(g.adj)

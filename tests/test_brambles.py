@@ -18,7 +18,7 @@ from chipwidth.brambles import (
     ElementLimitError,
     WrongRegimeError,
     _element_holders,
-    _family_symmetry,
+    _family_index,
     _greedy_hitting_set,
     _HittingSearch,
     classify_family,
@@ -141,6 +141,10 @@ def test_connected_set_and_touching():
     p4 = make_family("grid", 4, 1)
     assert is_connected_set(p4, mask(0, 1, 2))
     assert not is_connected_set(p4, mask(0, 2))
+    with pytest.raises(ValueError, match="empty"):
+        is_connected_set(p4, 0)
+    with pytest.raises(ValueError, match="outside the graph"):
+        is_connected_set(p4, mask(3, 4))
     assert sets_touch(p4, mask(0), mask(1))  # edge joins them
     assert sets_touch(p4, mask(0, 1), mask(1, 2))  # shared vertex
     assert not sets_touch(p4, mask(0), mask(3))
@@ -184,6 +188,9 @@ def test_classify_edge_inputs():
     with pytest.raises(ValueError):
         classify_family(p4, (mask(0, 1), mask(3, 4)))
     assert classify_family(p4, (mask(0, 2), mask(4))).counterexample == (0, 0)
+    # an empty element is paired with itself
+    c = classify_family(p4, (mask(0, 1), 0, mask(2)))
+    assert (c.verdict, c.counterexample) == ("not_bramble", (1, 1))
 
 
 @st.composite
@@ -336,13 +343,32 @@ def test_stock_bramble_with_an_element_dropped():
         elements = gen(g).elements
         for i in (0, len(elements) // 2):
             dropped = elements[:i] + elements[i + 1:]
-            whole_orbits = _family_symmetry(g, elements)[0]
-            assert len(_family_symmetry(g, dropped)[0]) > len(whole_orbits)
+            whole_orbits = _family_index(g, elements)[0]
+            assert len(_family_index(g, dropped)[0]) > len(whole_orbits)
             c = classify_family(g, dropped)
             assert (c.verdict, c.counterexample) == pairwise_classification(g, list(dropped))
             b = Bramble(g, dropped)
             cert = min_hitting_set(b)
             assert (cert.order, cert.witness) == plain_root_hitting_set(b)[:2], (kind, m, n, i)
+
+
+def test_classify_and_order_transpose_twice(monkeypatch):
+    # the family index transposes the elements once for classification's
+    # Γ-orbit check and for the full scan that the symmetric but not strict
+    # torus_fg falls through to; the hitting-set search sorts the elements
+    # and transposes them once more
+    calls = []
+    holders = brambles._element_holders
+    monkeypatch.setattr(brambles, "_element_holders",
+                        lambda elements, n: calls.append(n) or holders(elements, n))
+    for kind, m, n, gen, verdict in (("toroidal_grid", 4, 3, gen_torus_fg, "bramble"),
+                                     ("toroidal_grid", 5, 3, gen_torus_cde, "strict_bramble")):
+        b = gen(make_family(kind, m, n))
+        brambles._family_index.cache_clear()
+        calls.clear()
+        assert classify_family(b.graph, b.elements).verdict == verdict
+        min_hitting_set(b)
+        assert len(calls) == 2, (kind, m, n)
 
 
 def image_of(p: list[int]):
@@ -374,7 +400,7 @@ def test_symmetry_orbits_are_the_whole_stabilizers():
                 keeps = [p for p in group if present.issuperset(map(image_of(p), family))]
                 orbits = sorted({reduce(or_, (1 << p[v] for p in keeps)) for v in range(g.n)},
                                 key=lambda o: o & -o)
-                assert _family_symmetry(g, family)[0] == orbits, (g, gen.__name__)
+                assert _family_index(g, family)[0] == orbits, (g, gen.__name__)
                 checked += 1
     assert checked == 286
 
@@ -392,7 +418,7 @@ def test_collapsed_prism_symmetry_on_y84():
     # in order of their least vertex
     orbits = sorted({reduce(or_, (1 << p[v] for p in keeps)) for v in range(g.n)},
                     key=lambda o: o & -o)
-    assert _family_symmetry(g, b.elements)[0] == orbits
+    assert _family_index(g, b.elements)[0] == orbits
     assert classify_family(g, b.elements).verdict == "strict_bramble"
     cert = min_hitting_set(b)
     order, witness, plain_nodes = plain_root_hitting_set(b)
@@ -650,3 +676,7 @@ def test_bramble_format_rejections():
         read_bramble("b 1 9\n1 2 +3\n", g)  # a plus sign
     with pytest.raises(BrambleError, match="line 3: repeated element"):
         read_bramble("b 2 9\n1 2\n2 1\n", g)
+    with pytest.raises(BrambleError, match="line 2: expected 'b <elements> <vertices>'"):
+        read_bramble("c an element first\n1 2\nb 1 9\n", g)
+    with pytest.raises(BrambleError, match="missing header line"):
+        read_bramble("c no bramble here\n", g)

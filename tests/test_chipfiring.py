@@ -103,6 +103,9 @@ def test_q_reduce_idempotent():
 def test_q_reduce_other_base_vertex():
     reduced, _ = q_reduce(C4, Divisor((0, 1, 0, 1)), 2)
     assert reduced.chips == (0, 0, 2, 0)
+    for q in (-1, 4):
+        with pytest.raises(ChipFiringError, match="out of range"):
+            q_reduce(C4, Divisor((0, 1, 0, 1)), q)
 
 
 def test_equivalence_and_witness_script():
@@ -530,8 +533,12 @@ def test_divisor_format_rejections():
         read_divisor("d 4 2\n1 1\n1 1\n", C4)  # vertex assigned twice
     with pytest.raises(ChipFiringError):
         read_divisor("d 4 1\n9 1\n", C4)  # vertex out of range
-    with pytest.raises(ChipFiringError):
-        read_divisor("1 1\n", C4)  # missing header
+    with pytest.raises(ChipFiringError, match="line 1: expected 'd <vertices> <degree>'"):
+        read_divisor("1 1\n", C4)  # a body line before the header
+    with pytest.raises(ChipFiringError, match="missing header line"):
+        read_divisor("c no divisor here\n", C4)
+    with pytest.raises(ChipFiringError, match="line 2: expected '<vertex> <chips>'"):
+        read_divisor("d 4 1\n1 1 1\n", C4)
     with pytest.raises(ChipFiringError, match="line 1"):
         read_divisor("d 2 x\n", C4)  # degree not a number
     with pytest.raises(ChipFiringError, match="line 1"):

@@ -143,6 +143,13 @@ def test_graph_refuses_family_metadata_that_does_not_fit():
 def test_graph_constructor_rejects_loops():
     with pytest.raises(GraphError):
         Graph(3, [(0, 0), (0, 1), (1, 2)])
+    # and the other graphs it cannot build
+    with pytest.raises(GraphError, match="at least one vertex"):
+        Graph(0, [])
+    with pytest.raises(GraphError, match="out of range"):
+        Graph(2, [(0, 2)])
+    with pytest.raises(GraphError, match="permutation"):
+        Graph(3, [(0, 1), (1, 2)]).relabeled([0, 0, 1])
 
 
 def test_graph_dedups_parallel_edges():
@@ -330,8 +337,20 @@ def test_gr_rejections():
         read_gr("p tw 4 2\n1 2\n3 4\n")  # too few edges to be connected
     with pytest.raises(FormatError, match="not connected"):
         read_gr("p tw 4 3\n1 2\n2 3\n1 3\n")  # a triangle and a lone vertex
-    with pytest.raises(FormatError):
-        read_gr("1 2\n2 3\n")  # missing problem line
+    with pytest.raises(FormatError, match="line 1: edge before problem line"):
+        read_gr("1 2\n2 3\n")
+    with pytest.raises(FormatError, match="missing problem line"):
+        read_gr("c no graph here\n")
+    with pytest.raises(FormatError, match="line 2: repeated problem line"):
+        read_gr("p tw 2 1\np tw 2 1\n1 2\n")
+    with pytest.raises(FormatError, match="line 1: expected 'p tw <n> <m>'"):
+        read_gr("p td 2 1\n1 2\n")
+    with pytest.raises(FormatError, match="at least one vertex"):
+        read_gr("p tw 0 0\n")
+    with pytest.raises(FormatError, match="line 2: expected 'u v'"):
+        read_gr("p tw 3 2\n1 2 3\n2 3\n")
+    with pytest.raises(FormatError, match="line 3"):
+        read_gr("p tw 3 2\n\n1 x\n2 3\n")  # a blank line counts
     with pytest.raises(FormatError, match="line 1"):
         read_gr("p tw 3 x\n")  # edge count not a number
     with pytest.raises(FormatError, match="line 2"):

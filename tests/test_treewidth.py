@@ -108,6 +108,8 @@ def test_validate_rejects_non_tree():
     for edges in (((0, 1), (0, 1)), ((0, 1), (1, 0))):
         with pytest.raises(NotATreeError, match="repeated"):
             TreeDecomposition((mask(0, 1), mask(1, 2), mask(2)), edges, 3)
+    with pytest.raises(NotATreeError, match=r"bad tree edge \(1, 1\)"):
+        TreeDecomposition((mask(0, 1), mask(1, 2)), ((1, 1),), 3)
     with pytest.raises(NotATreeError, match="do not connect"):
         TreeDecomposition((mask(0, 1), mask(1, 2), mask(2), mask(0)), ((0, 1), (1, 2), (2, 0)), 3)
 
@@ -186,6 +188,9 @@ def test_decomposition_from_elimination_order_cycle():
     td = decomposition_from_elimination_order(c5, [0, 1, 2, 3, 4])
     assert validate_tree_decomposition(c5, td).valid
     assert td.width == 2
+    for order in ([0, 1, 2, 3], [0, 1, 2, 3, 3]):
+        with pytest.raises(DecompositionError, match="permutation"):
+            decomposition_from_elimination_order(c5, order)
 
 
 def test_degeneracy_values():
@@ -326,6 +331,9 @@ def test_witness_is_checked_on_the_graph():
     for elements in ([mask(0), mask(8)], [mask(0, 2), mask(0, 1)]):
         with pytest.raises(BrambleError, match="not a bramble"):
             exact_treewidth(g, witness=Bramble.from_elements(g, elements))
+    # the graph itself must be connected
+    with pytest.raises(ValueError, match="connected graph"):
+        exact_treewidth(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_witness_check_and_search_build_one_group(monkeypatch):
@@ -574,7 +582,7 @@ def test_search_pinned_on_relabeled_family_graph():
 # --- symmetry of the family graphs -------------------------------------------------
 
 
-def test_orbit_roots_are_the_family_representatives():
+def test_first_move_keys_are_the_family_orbits():
     # the memo key of a first move v is the least vertex of its orbit, so
     # one first move per orbit costs a state: a torus is vertex transitive,
     # a prism has one orbit per column pair j, n-1-j, and a grid one per row
@@ -831,3 +839,11 @@ def test_td_rejections():
         read_td("s td 0 0 2\n")  # no bags
     with pytest.raises(TdFormatError, match="line 1: negative vertex count"):
         read_td("s td 1 0 -3\nb 1\n")
+    with pytest.raises(TdFormatError, match="line 1: expected 's td"):
+        read_td("s td 1 2\nb 1 1 2\n")
+    with pytest.raises(TdFormatError, match="line 4: expected tree edge"):
+        read_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2 2\n")
+    with pytest.raises(TdFormatError, match="line 4: tree edge out of range"):
+        read_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 3\n")
+    with pytest.raises(TdFormatError, match="missing solution line"):
+        read_td("c no decomposition here\n")
