@@ -4,7 +4,8 @@ A divisor assigns an integer chip count to every vertex. Firing a vertex
 sends one chip along each incident edge; a firing script fires each vertex
 a given number of times, changing the divisor by the Laplacian action
 d - L s. The q-reduced representative of a divisor class (computed by
-debt consolidation followed by Dhar's burning loop) is unique, which makes
+debt consolidation, whose set firings go through apply_firing_script,
+followed by Dhar's burning loop) is unique, which makes
 equivalence decidable and drives the winning test of the gonality game:
 d wins iff for every vertex v the v-reduced form of d - (v) is effective.
 
@@ -103,17 +104,6 @@ def apply_firing_script(g: Graph, d: Divisor, s: FiringScript) -> Divisor:
     return Divisor(tuple(out))
 
 
-def _fire_set(g: Graph, chips: list[int], members: int) -> None:
-    # simultaneous firing of a vertex set: only boundary edges move chips
-    for v in iter_bits(members):
-        outside = g.adj[v] & ~members
-        k = outside.bit_count()
-        if k:
-            chips[v] -= k
-            for u in iter_bits(outside):
-                chips[u] += 1
-
-
 def _neighbor_lists(g: Graph, what: str) -> list[list[int]]:
     if not g.is_connected():
         raise ChipFiringError(f"{what} needs a connected graph")
@@ -156,34 +146,28 @@ _LOOP_CAP = 10_000_000
 def q_reduce(g: Graph, d: Divisor, q: int) -> tuple[Divisor, FiringScript]:
     """Unique q-reduced representative of d's class, with the script used.
 
-    Stage 1 repeatedly fires {q} + every out-of-debt vertex until no vertex
-    but q is in debt. Stage 2 runs Dhar's burning from q and fires the
-    unburnt set until the fire consumes everything. The returned script is
-    normalized to minimum entry zero and satisfies
-    apply_firing_script(g, d, script) == reduced.
+    Stage 1 repeatedly fires {q} + every out-of-debt vertex, as a 0/1
+    script through apply_firing_script, until no vertex but q is in debt.
+    Stage 2 runs Dhar's burning from q and fires the unburnt set until the
+    fire consumes everything. The returned script is normalized to minimum
+    entry zero and satisfies apply_firing_script(g, d, script) == reduced.
     """
     _check_divisor(g, d)
     if not 0 <= q < g.n:
         raise ChipFiringError(f"vertex {q} out of range")
     nbrs = _neighbor_lists(g, "q-reduction")
-    n = g.n
-    chips = list(d.chips)
-    script = [0] * n
-    qbit = 1 << q
+    script = [0] * g.n
 
     for _ in range(_LOOP_CAP):
-        if all(chips[v] >= 0 for v in range(n) if v != q):
+        fire = tuple(int(v == q or c >= 0) for v, c in enumerate(d.chips))
+        if all(fire):
             break
-        members = qbit
-        for v in range(n):
-            if v != q and chips[v] >= 0:
-                members |= 1 << v
-        _fire_set(g, chips, members)
-        for v in iter_bits(members):
-            script[v] += 1
+        d = apply_firing_script(g, d, FiringScript(fire))
+        script = [s + f for s, f in zip(script, fire)]
     else:
         raise ChipFiringError("internal: debt consolidation failed to settle")
 
+    chips = list(d.chips)
     for _ in range(_LOOP_CAP):
         fired = _burn_and_fire(nbrs, chips, q)
         if not fired:

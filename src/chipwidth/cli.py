@@ -111,12 +111,9 @@ def _print_cert(claim: dict, verdict: str, witness: dict, proof: str,
     sys.stdout.write(json.dumps(cert, indent=2) + "\n")
 
 
-def _one_indexed(witness: object) -> object:
-    if isinstance(witness, int):
-        return witness + 1
-    if isinstance(witness, tuple):
-        return [x + 1 for x in witness]
-    return witness
+def _one_indexed(witness: int | tuple[int, int]) -> int | list[int]:
+    # a vertex (conditions 1 and 3) or an edge (condition 2)
+    return witness + 1 if isinstance(witness, int) else [x + 1 for x in witness]
 
 
 # --- subcommands --------------------------------------------------------------
@@ -175,14 +172,10 @@ def _cmd_verify_td(args: argparse.Namespace) -> int:
     return 0 if report.valid else 1
 
 
-def _bramble_instance(args: argparse.Namespace):
+def _cmd_bramble(args: argparse.Namespace) -> int:
     kind, gen = _BRAMBLE_FAMILIES[args.family]
     g = make_family(kind, args.m, args.n)
-    return g, gen(g)
-
-
-def _cmd_bramble(args: argparse.Namespace) -> int:
-    g, b = _bramble_instance(args)
+    b = gen(g)
     if args.action == "generate":
         _emit(write_bramble(b), args.output)
         return 0

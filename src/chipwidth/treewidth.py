@@ -20,7 +20,9 @@ refuted prefix is memoized by its mask and by the least of its images. That
 memo also keeps one first move per orbit: the first moves go in ascending
 order, so the least vertex of an orbit comes first, and once it is refuted
 every other vertex of its orbit has the same key and is skipped uncounted.
-A group larger than graphs.MAX_GROUP_ORDER is replaced by the identity. The
+Every group takes this one path. The identity alone is an image table of
+one column, so a prefix's key is its mask and the memo is the plain one; a
+group larger than graphs.MAX_GROUP_ORDER is replaced by the identity. The
 image table is built once per graph, and only when a search runs; the group
 may already have been built by the witness check, whose bramble symmetry
 starts from it, and automorphism_group keeps it for the search to reuse.
@@ -123,9 +125,6 @@ class ValidationReport:
     valid: bool
     condition: int | None = None
     witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 @dataclass(frozen=True)
@@ -333,14 +332,6 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
     return order, width
 
 
-def _vertex_images(group: list[list[int]]) -> list[list[int]] | None:
-    """images[v][i] is vertex v's image under the i-th automorphism, as a
-    bit; None when the group is the identity alone, whose key is the mask."""
-    if len(group) == 1:
-        return None
-    return [[1 << p[v] for p in group] for v in range(len(group[0]))]
-
-
 class _Budget:
     __slots__ = ("max_states", "deadline", "states", "exhausted")
 
@@ -362,21 +353,20 @@ class _Budget:
 
 
 def _decide_width(
-    g: Graph,
-    k: int,
-    budget: _Budget,
-    images: list[list[int]] | None = None,
+    g: Graph, k: int, budget: _Budget, images: list[list[int]]
 ) -> tuple[bool | None, list[int] | None]:
     """Is there an elimination order with every back-degree <= k?
 
     Returns (verdict, order). verdict None means the budget ran out before
-    the question was settled. images is _vertex_images of automorphisms of
-    g, the identity first, as automorphism_group gives them; a prefix with
-    a refuted image is skipped, which drops only infeasible subtrees, so
-    the verdict and the order stay those of the search without it. The
-    first moves are the vertices of degree <= k in ascending order; with
-    images, a move whose orbit's least vertex was refuted is skipped by
-    the memo before it costs a state.
+    the question was settled. images[v][i] is vertex v's image under the
+    i-th automorphism of g, as a bit, the identity first, as
+    automorphism_group gives them. Every group takes the same path: the
+    identity alone is a table of one column, whose only image of a prefix
+    is its mask, which is then its key. A prefix with a refuted image is
+    skipped, which drops only infeasible subtrees, so the verdict and the
+    order stay those of the search without symmetry. The first moves are
+    the vertices of degree <= k in ascending order; a move whose orbit's
+    least vertex was refuted is skipped by the memo before it costs a state.
     """
     n = g.n
     # h[v] is Q(S, v) for every v outside the prefix S on the current path:
@@ -390,11 +380,9 @@ def _decide_width(
     path: list[int] = []
     tick = budget.tick
 
-    def expand(
-        s_mask: int, key: int, imgs: list[int] | None, depth: int, outside: list[int]
-    ) -> bool | None:
-        # s_mask holds depth vertices and has been counted; outside lists
-        # the other vertices in ascending order
+    def expand(s_mask: int, key: int, imgs: list[int], outside: list[int]) -> bool | None:
+        # s_mask has been counted; outside lists the other vertices in
+        # ascending order
         cand: list[tuple[int, int]] = []
         # simplicial vertices are safe forced moves; one with fill degree
         # above k certifies failure outright (it sits in a k+2 clique)
@@ -418,22 +406,17 @@ def _decide_width(
                 if forced < 0:
                     forced = v
         if forced >= 0:
-            return descend(s_mask, key, imgs, depth, outside, [forced])
+            return descend(s_mask, key, imgs, outside, [forced])
         cand.sort()
-        return descend(s_mask, key, imgs, depth, outside, [v for _, v in cand])
+        return descend(s_mask, key, imgs, outside, [v for _, v in cand])
 
     def descend(
-        s_mask: int,
-        key: int,
-        imgs: list[int] | None,
-        depth: int,
-        outside: list[int],
-        moves: list[int],
+        s_mask: int, key: int, imgs: list[int], outside: list[int], moves: list[int]
     ) -> bool | None:
         # try the moves out of s_mask in order; a child is settled without
         # eliminating into it when it leaves at most k + 1 vertices or is a
         # known failure up to symmetry, and otherwise costs a tick
-        if n - depth - 1 <= k + 1:
+        if len(outside) <= k + 2:
             if moves:
                 path.append(moves[0])
                 return True
@@ -444,13 +427,10 @@ def _decide_width(
             child = s_mask | bit[v]
             if child in failed:
                 continue
-            if images is None:
-                cimgs, ckey = None, child
-            else:
-                cimgs = list(map(or_, imgs, images[v]))
-                ckey = min(cimgs)
-                if ckey in failed:
-                    continue
+            cimgs = list(map(or_, imgs, images[v]))
+            ckey = min(cimgs)
+            if ckey in failed:
+                continue
             if not tick():
                 return None
             hv = h[v]
@@ -460,7 +440,7 @@ def _decide_width(
             saved = [h[u] for u in nbrs]
             for u in nbrs:
                 h[u] = (h[u] | hv) ^ (bit[u] | bit[v])
-            res = expand(child, ckey, cimgs, depth + 1, [u for u in outside if u != v])
+            res = expand(child, ckey, cimgs, [u for u in outside if u != v])
             for u, hu in zip(nbrs, saved):
                 h[u] = hu
             if res:
@@ -473,8 +453,8 @@ def _decide_width(
         return False
 
     # fill degree at the empty prefix is the plain degree
-    imgs = None if images is None else [0] * len(images[0])
-    res = descend(0, 0, imgs, 0, list(range(n)), [v for v in range(n) if g.degree(v) <= k])
+    res = descend(0, 0, [0] * len(images[0]), list(range(n)),
+                  [v for v in range(n) if g.degree(v) <= k])
     if not res:
         return res, None
     prefix = list(reversed(path))
@@ -529,7 +509,7 @@ def exact_treewidth(
     if lower < upper:
         group = automorphism_group(g)
         group_order = len(group)
-        images = _vertex_images(group)
+        images = [[1 << p[v] for p in group] for v in range(g.n)]
         k = lower
         while k < upper:
             verdict, order = _decide_width(g, k, budget, images)

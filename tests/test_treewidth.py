@@ -45,7 +45,6 @@ from chipwidth.treewidth import (
     ValidationReport,
     _Budget,
     _decide_width,
-    _vertex_images,
     contraction_degeneracy,
     covering_bag,
     decomposition_from_elimination_order,
@@ -415,10 +414,11 @@ def test_exact_matches_brute_force_and_min_fill(g):
     assert res.proof_status == "exact" and res.treewidth == want
     # the heuristic bounds often meet on graphs this small, so ask the search
     # itself both sides of the question as well
-    ok, order = _decide_width(g, want, _Budget(10**6, None))
+    images = identity_images(g)
+    ok, order = _decide_width(g, want, _Budget(10**6, None), images)
     assert ok and decomposition_from_elimination_order(g, order).width <= want
     if want > 0:
-        assert _decide_width(g, want - 1, _Budget(10**6, None)) == (False, None)
+        assert _decide_width(g, want - 1, _Budget(10**6, None), images) == (False, None)
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
@@ -441,6 +441,11 @@ def test_balanced_witness_keeps_width_and_status(g):
 
 
 # --- the path-kept elimination graph against the component-based search ----------
+
+
+def identity_images(g: Graph) -> list[list[int]]:
+    """The image table of the identity group alone: one column."""
+    return [[1 << v] for v in range(g.n)]
 
 
 def oracle_fill_neighborhoods(adj, s_mask: int, outside: int) -> list[int]:
@@ -535,7 +540,7 @@ def test_search_matches_component_oracle(g, cap):
     for k in range(g.n):
         for max_states in (10**6, cap):
             ours, theirs = _Budget(max_states, None), _Budget(max_states, None)
-            got = _decide_width(g, k, ours)
+            got = _decide_width(g, k, ours, identity_images(g))
             want = oracle_decide_width(g, k, theirs)
             assert got == want and ours.states == theirs.states, (k, max_states)
 
@@ -579,6 +584,24 @@ def test_search_pinned_on_relabeled_family_graph():
     assert digest == "f7dbbea5b36d00df"
 
 
+def test_identity_group_search_pinned(monkeypatch):
+    # a group past the cap becomes the identity, a table of one column,
+    # and searches T5,3 and T6,3 with the plain memo: more states, and the
+    # decompositions of the symmetric search
+    pinned = {(kind, m, n): digest for kind, m, n, *_, digest in PINNED_SEARCHES}
+    monkeypatch.setattr(graphs, "MAX_GROUP_ORDER", 1)
+    automorphism_group.cache_clear()
+    try:
+        for m, states in ((5, 1590), (6, 5144)):
+            res = exact_treewidth(make_family("toroidal_grid", m, 3))
+            assert (res.proof_status, res.treewidth, res.states, res.group_order) == (
+                "exact", 6, states, 1)
+            digest = hashlib.sha256(write_td(res.decomposition).encode()).hexdigest()[:16]
+            assert digest == pinned["toroidal_grid", m, 3]
+    finally:
+        automorphism_group.cache_clear()
+
+
 # --- symmetry of the family graphs -------------------------------------------------
 
 
@@ -596,8 +619,7 @@ def test_first_move_keys_are_the_family_orbits():
             "stacked_prism": list(cols),
             "grid": [i * n + j for i in rows for j in cols if m != n or i <= j],
         }[fam.kind]
-        images = _vertex_images(automorphism_group(g))
-        keys = range(g.n) if images is None else {min(row).bit_length() - 1 for row in images}
+        keys = {min(p[v] for p in automorphism_group(g)) for v in range(g.n)}
         assert sorted(keys) == want, fam
     # orders 4mn, 4m and 4 off the square and cube cases
     for kind, order in (("toroidal_grid", 80), ("stacked_prism", 20), ("grid", 4)):
@@ -607,11 +629,11 @@ def test_first_move_keys_are_the_family_orbits():
 def assert_symmetric_memo_matches_identity_search(g: Graph) -> None:
     # skipping prefixes whose image was refuted drops only infeasible
     # subtrees: same verdict and order at every width, never more states
-    images = _vertex_images(automorphism_group(g))
+    images = [[1 << p[v] for p in automorphism_group(g)] for v in range(g.n)]
     for k in range(g.n):
         ours, plain = _Budget(10**7, None), _Budget(10**7, None)
         got = _decide_width(g, k, ours, images)
-        want = _decide_width(g, k, plain)
+        want = _decide_width(g, k, plain, identity_images(g))
         assert got == want and ours.states <= plain.states, (g, k)
 
 
