@@ -40,8 +40,8 @@ their plain paths. Meeting and touching are Γ-invariant, so
 classification searches only one element per Γ-orbit when that proves a
 strict bramble; any other family takes the full scan over the same
 holders, so counterexamples do not depend on Γ. The order's decision
-search branches at its root on Γ's vertex orbits (orbital branching); the
-witness is fixed without Γ, so it stays the same.
+search branches at its root on the Γ-orbits that meet the smallest element
+(orbital branching); the witness is fixed without Γ, so it stays the same.
 """
 
 from __future__ import annotations
@@ -389,9 +389,9 @@ class _HittingSearch:
     def exists_by_orbits(self, size: int, orbits: list[int]) -> bool:
         """exists(everything, size, all vertices), branching at the root on
         disjoint vertex masks in order of their least vertex: the vertex
-        orbits of a group that maps the elements onto themselves, or the
-        vertices of the smallest element one by one, which is exists' own
-        root branching.
+        orbits that meet the smallest element, of a group that maps the
+        elements onto themselves. Under the trivial group they are that
+        element's vertices, which is exists' own root branching.
 
         Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, 2011):
         if a hitting set meets orbit O_i first, a group element maps it to
@@ -439,17 +439,15 @@ def min_hitting_set(b: Bramble) -> OrderCertificate:
     size reaches that of a greedy hitting set. The search branches on the
     vertices of the smallest unhit element, each tried vertex barred from
     the branches after it, and prunes with the degree-sum bound over
-    per-vertex bitsets of element indices. When the family's symmetry
-    group Γ (see _family_index) moves some vertex, the root branches on
-    Γ's vertex orbits instead. The witness is the lexicographically least
-    optimal hitting set, so equal inputs always give byte-equal
-    certificates.
+    per-vertex bitsets of element indices. The root branches instead on
+    the orbits of the family's symmetry group Γ (see _family_index) that
+    meet the smallest element, never more of them than its vertices. The
+    witness is the lexicographically least optimal hitting set, so equal
+    inputs always give byte-equal certificates.
     """
     n = b.graph.n
-    orbits = _family_index(b.graph, b.elements)[0]
     search = _HittingSearch(b.elements, n)
-    if len(orbits) == n:
-        orbits = [1 << v for v in iter_bits(search.elements[0])]
+    orbits = [o for o in _family_index(b.graph, b.elements)[0] if o & search.elements[0]]
     full = (1 << n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)

@@ -212,8 +212,8 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> ValidationRe
 
 def decomposition_from_elimination_order(g: Graph, order: Sequence[int]) -> TreeDecomposition:
     """Bags {v} + remaining fill-neighbors of v, chained by first-eliminated
-    neighbor. Works for connected graphs; width equals the order's maximum
-    back-degree."""
+    neighbor, or to the next bag where none remain (a component ends), so
+    a disconnected graph gets one tree; width is the maximum back-degree."""
     if sorted(order) != list(range(g.n)):
         raise DecompositionError("elimination order must be a permutation of 0..n-1")
     n = g.n
@@ -576,12 +576,11 @@ def covering_bag(td: TreeDecomposition, bramble) -> CoveringBag:
 @dataclass(frozen=True)
 class FamilyClaims:
     """The claims on one grid, prism or torus: the width interval (two
-    values on the open lines, which note names), the witness bramble's
-    generator and the stock winning-divisor style, None where none exists."""
+    values on the open lines), the witness bramble's generator and the
+    stock winning-divisor style, None where none exists."""
 
     low: int
     high: int
-    note: str
     witness: Callable[[Graph], Bramble] | None
     style: str | None
 
@@ -597,23 +596,23 @@ def family_claims(g: Graph) -> FamilyClaims:
     lo = min(m, n)
     if fam.kind == "grid":
         w = lo if g.num_edges else 0  # G1,1 is a single vertex
-        return FamilyClaims(w, w, "", gen_grid_bramble if w >= 2 else None, None)
+        return FamilyClaims(w, w, gen_grid_bramble if w >= 2 else None, None)
     if fam.kind == "stacked_prism":
         if 2 * n < m:
-            return FamilyClaims(2 * n, 2 * n, "", gen_prism_b1, "row_twos")
+            return FamilyClaims(2 * n, 2 * n, gen_prism_b1, "row_twos")
         if m < 2 * n:
-            return FamilyClaims(m, m, "", gen_prism_b2, "column_ones")
-        note = "open: prism with m = 2n is only known to lie in this interval"
-        return FamilyClaims(2 * n - 1, 2 * n, note, gen_prism_collapsed, "column_ones")
+            return FamilyClaims(m, m, gen_prism_b2, "column_ones")
+        # open line
+        return FamilyClaims(2 * n - 1, 2 * n, gen_prism_collapsed, "column_ones")
     style = "row_twos" if n <= m else "column_twos"
     if m == n:
-        note = "open: square torus is only known to lie in this interval"
-        return FamilyClaims(2 * n - 2, 2 * n - 1, note, None, style)
+        # open line
+        return FamilyClaims(2 * n - 2, 2 * n - 1, None, style)
     if abs(m - n) == 1:
-        note = "open: near-square torus is only known to lie in this interval"
         witness = gen_torus_fg if m == n + 1 else None
-        return FamilyClaims(2 * lo - 1, 2 * lo, note, witness, style)
-    return FamilyClaims(2 * lo, 2 * lo, "", gen_torus_cde if m >= n + 2 else None, style)
+        # open line
+        return FamilyClaims(2 * lo - 1, 2 * lo, witness, style)
+    return FamilyClaims(2 * lo, 2 * lo, gen_torus_cde if m >= n + 2 else None, style)
 
 
 def family_bramble(g: Graph) -> Bramble | None:

@@ -6,7 +6,6 @@ Every numeric check is exact integer equality.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import comb
 
 from chipwidth.brambles import (
@@ -50,6 +49,8 @@ from chipwidth.treewidth import (
     validate_tree_decomposition,
     write_td,
 )
+
+from oracles import hitting_set_oracle
 
 
 def _finish(number: int, name: str, failures: list[str]) -> None:
@@ -277,17 +278,6 @@ def _random_bramble(rng: random.Random, g: Graph) -> Bramble | None:
     return Bramble.from_elements(g, elements)
 
 
-def _oracle_hitting_order(elements: tuple[int, ...], n: int) -> int:
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            s = 0
-            for v in combo:
-                s |= 1 << v
-            if all(s & e for e in elements):
-                return size
-    raise AssertionError("unhittable")
-
-
 def _subset_outdegrees(g: Graph, q: int) -> list[tuple[int, list[int]]]:
     """For each nonempty vertex subset avoiding q, the per-member count of
     edges leaving the subset. A subset can fire legally iff every member
@@ -372,7 +362,7 @@ def test_criterion_6_property_suites():
             continue
         produced += 1
         cert = min_hitting_set(b)
-        want = _oracle_hitting_order(b.elements, g.n)
+        want = hitting_set_oracle(b.elements, g.n)[0]
         _check(failures, cert.order == want,
                f"hitting set {cert.order} vs oracle {want} on {g.n}v family")
         _check(failures, all(cert.witness & e for e in b.elements),

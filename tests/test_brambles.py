@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 
@@ -46,27 +46,7 @@ from chipwidth.graphs import (
 )
 from chipwidth.treewidth import covering_bag, exact_treewidth, family_claims
 
-
-def mask(*vs: int) -> int:
-    out = 0
-    for v in vs:
-        out |= 1 << v
-    return out
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-
-
-def oracle_hitting_set(elements: tuple[int, ...], n: int) -> tuple[int, int]:
-    """Smallest hitting set by plain subset enumeration: its size and the
-    lexicographically least one (combinations come in that order)."""
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            s = mask(*combo)
-            if all(s & e for e in elements):
-                return size, s
-    raise AssertionError("unhittable family")
+from oracles import complete_graph, connected_graphs, hitting_set_oracle, mask, treewidth_oracle
 
 
 def pairwise_classification(g: Graph, elements: list[int]) -> tuple[str, tuple | None]:
@@ -99,39 +79,6 @@ def plain_root_hitting_set(b: Bramble) -> tuple[int, int, int]:
 
 def permuted(p: list[int], e: int) -> int:
     return sum(1 << p[v] for v in bits_list(e))
-
-
-def subset_treewidth(g: Graph) -> int:
-    """Treewidth by the elimination recurrence over every vertex subset:
-    TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|), where Q(S, v)
-    holds the vertices outside S + v that v reaches through S."""
-
-    def q_size(s: int, v: int) -> int:
-        comp, frontier = 1 << v, 1 << v
-        while frontier:
-            reach = g.neighborhood(frontier) & ~comp
-            comp |= reach
-            frontier = reach & s
-        return (comp & ~s).bit_count() - 1
-
-    @lru_cache(maxsize=None)
-    def tw(s: int) -> int:
-        if s == 0:
-            return -1
-        return min(max(tw(s & ~(1 << v)), q_size(s & ~(1 << v), v))
-                   for v in bits_list(s))
-
-    return tw(g.full_mask)
-
-
-@st.composite
-def connected_graphs(draw, min_n: int = 1, max_n: int = 8) -> Graph:
-    n = draw(st.integers(min_n, max_n))
-    # a random spanning tree keeps the graph connected; extra edges on top
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs = list(combinations(range(n), 2))
-    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(n, edges)
 
 
 # --- predicates ------------------------------------------------------------------
@@ -239,7 +186,7 @@ def test_hitting_set_k4_edges():
     k4 = complete_graph(4)
     b = Bramble.from_elements(k4, [mask(i, j) for i, j in k4.edges])
     cert = min_hitting_set(b)
-    assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, 4)
+    assert (cert.order, cert.witness) == hitting_set_oracle(b.elements, 4)
     assert bits_list(cert.witness) == [0, 1, 2]  # lexicographically least cover
 
 
@@ -248,7 +195,7 @@ def test_hitting_set_k5_triples():
     b = Bramble.from_elements(k5, [mask(*c) for c in combinations(range(5), 3)])
     assert classify_family(k5, b.elements).verdict == "strict_bramble"
     cert = min_hitting_set(b)
-    assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, 5)
+    assert (cert.order, cert.witness) == hitting_set_oracle(b.elements, 5)
     assert cert.order == 3
 
 
@@ -267,7 +214,7 @@ def set_families(draw) -> Bramble:
 @given(set_families())
 def test_hitting_set_matches_oracle(b):
     cert = min_hitting_set(b)
-    assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, b.graph.n)
+    assert (cert.order, cert.witness) == hitting_set_oracle(b.elements, b.graph.n)
 
 
 def test_hitting_set_rejects_bad_elements():
@@ -428,8 +375,8 @@ def test_collapsed_prism_symmetry_on_y84():
 
 # (kind, m, n, generator): order, lex-least witness, search nodes
 STOCK_ORDERS = {
-    ("grid", 4, 4, gen_grid_bramble): (4, [0, 1, 2, 3], 26),
-    ("grid", 5, 5, gen_grid_bramble): (5, [0, 1, 2, 3, 4], 166),
+    ("grid", 4, 4, gen_grid_bramble): (4, [0, 1, 2, 3], 25),
+    ("grid", 5, 5, gen_grid_bramble): (5, [0, 1, 2, 3, 4], 160),
     ("stacked_prism", 7, 3, gen_prism_b1): (6, [0, 1, 2, 3, 4, 5], 490),
     ("stacked_prism", 5, 4, gen_prism_b2): (5, [0, 4, 8, 12, 16], 351),
     ("toroidal_grid", 4, 3, gen_torus_fg): (6, [0, 1, 2, 3, 4, 5], 116),
@@ -437,8 +384,8 @@ STOCK_ORDERS = {
     ("toroidal_grid", 6, 3, gen_torus_cde): (5, [0, 1, 3, 4, 8], 148),
     ("toroidal_grid", 5, 3, gen_balanced_bramble): (6, [0, 1, 2, 3, 7, 8], 260),
     ("stacked_prism", 7, 4, gen_prism_b2): (7, [0, 1, 2, 3, 4, 5, 6], 4588),
-    ("stacked_prism", 4, 2, gen_prism_collapsed): (3, [0, 1, 4], 11),
-    ("stacked_prism", 6, 3, gen_prism_collapsed): (5, [0, 1, 2, 6, 7], 207),
+    ("stacked_prism", 4, 2, gen_prism_collapsed): (3, [0, 1, 4], 10),
+    ("stacked_prism", 6, 3, gen_prism_collapsed): (5, [0, 1, 2, 6, 7], 189),
 }
 
 
@@ -483,6 +430,19 @@ def test_orbital_root_saves_nodes_on_stock():
         order, witness, plain_nodes = plain_root_hitting_set(b)
         assert (cert.order, cert.witness) == (order, witness)
         assert cert.nodes < plain_nodes, (kind, m, n)
+
+
+def test_orbital_root_never_wider_than_the_plain_root():
+    # the root branches only on the orbits that meet the smallest element,
+    # each holding one of its vertices, so it has no more children than the
+    # plain root; without element 0, Y7,4 prism_b2 keeps a Γ of order 2
+    # with 16 vertex orbits, more than its smallest element has vertices
+    g = make_family("stacked_prism", 7, 4)
+    b = Bramble(g, gen_prism_b2(g).elements[1:])
+    cert = min_hitting_set(b)
+    order, witness, plain_nodes = plain_root_hitting_set(b)
+    assert (cert.order, cert.witness) == (order, witness) and order == 6
+    assert (cert.nodes, plain_nodes) == (24861, 26437)
 
 
 def test_collapsed_prism_bramble_is_the_lifted_b2():
@@ -607,8 +567,8 @@ def test_balanced_bramble_order_oracle(g):
     b = gen_balanced_bramble(g)
     assert classify_family(g, b.elements).verdict == "strict_bramble"
     cert = min_hitting_set(b)
-    assert (cert.order, cert.witness) == oracle_hitting_set(b.elements, g.n)
-    assert cert.order <= subset_treewidth(g)
+    assert (cert.order, cert.witness) == hitting_set_oracle(b.elements, g.n)
+    assert cert.order <= treewidth_oracle(g)
     td = exact_treewidth(g).decomposition
     hit = covering_bag(td, b)
     assert td.bags[hit.node] == hit.bag

@@ -31,11 +31,9 @@ from chipwidth.graphs import (
     make_family,
 )
 
+from oracles import complete_graph, connected_graphs
+
 C4 = make_family("stacked_prism", 4, 1)
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 # --- divisors and scripts -------------------------------------------------------
@@ -166,18 +164,8 @@ def test_gonality_budget_degrades_to_lower_bound(monkeypatch):
 
 
 @st.composite
-def connected_graphs(draw, max_n: int = 9) -> Graph:
-    n = draw(st.integers(1, max_n))
-    # a random spanning tree keeps the graph connected; extra edges on top
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs = list(itertools.combinations(range(n), 2))
-    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(n, edges)
-
-
-@st.composite
 def graphs_with_effective_divisors(draw) -> tuple[Graph, Divisor]:
-    g = draw(connected_graphs())
+    g = draw(connected_graphs(max_n=9))
     degree = draw(st.integers(0, 6))
     chips = [0] * g.n
     for v in draw(st.lists(st.integers(0, g.n - 1), min_size=degree, max_size=degree)):

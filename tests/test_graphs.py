@@ -10,7 +10,6 @@ import time
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chipwidth.cli import main
 from chipwidth.graphs import (
@@ -30,6 +29,8 @@ from chipwidth.graphs import (
 )
 from chipwidth.graphs import _family_edges
 from chipwidth.treewidth import exact_treewidth
+
+from oracles import connected_graphs, to_networkx
 
 
 def prism(m: int, n: int) -> Graph:
@@ -199,13 +200,6 @@ def test_neighborhood_and_connectivity():
 # --- automorphisms ----------------------------------------------------------------
 
 
-def to_networkx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return h
-
-
 def assert_group_is_aut(g: Graph) -> list[list[int]]:
     # every listed permutation keeps the edges, the list is a group with the
     # identity first, and its order is networkx's count (identity past the cap)
@@ -221,15 +215,6 @@ def assert_group_is_aut(g: Graph) -> list[list[int]]:
     count = sum(1 for _ in itertools.islice(matcher.isomorphisms_iter(), MAX_GROUP_ORDER + 1))
     assert len(group) == (count if count <= MAX_GROUP_ORDER else 1)
     return group
-
-
-@st.composite
-def connected_graphs(draw) -> Graph:
-    n = draw(st.integers(1, 8))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    pairs = list(itertools.combinations(range(n), 2))
-    edges += draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(n, edges)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,7 +1,8 @@
 """Names other code reaches by string must exist: the functions the
 benchmark tracer wraps, and the package's export list. Names a module
 or a test imports must be used, and so must a module's names that the
-package does not export and the methods of its classes. The README's
+package does not export and the methods of its classes. A helper that
+tests/oracles.py holds is defined nowhere else in the tests. The README's
 python example and its command-line block must run, and every benchmark
 record must parse."""
 
@@ -107,6 +108,23 @@ def test_private_names_used_in_src():
         read |= names_read(path)
     unread += [f"{module}: {cls}.{name}" for module, cls, name in methods if name not in read]
     assert not unread, unread
+
+
+def top_level_definitions(path: Path) -> set[str]:
+    """The functions and classes a module defines at its top level."""
+    nodes = ast.parse(path.read_text()).body
+    return {node.name for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_test_helpers_defined_once():
+    # a helper or oracle that tests/oracles.py holds is imported from there;
+    # a test file that defines it again holds a copy that can drift
+    shared = top_level_definitions(ROOT / "tests" / "oracles.py")
+    assert shared
+    copies = [f"{path.name}: {name}" for path in sorted((ROOT / "tests").glob("test_*.py"))
+              for name in sorted(top_level_definitions(path) & shared)]
+    assert not copies, copies
 
 
 def test_readme_quick_start_runs():
