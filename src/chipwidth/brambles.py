@@ -9,7 +9,7 @@ tw + 1. exact_treewidth takes a bramble as a witness and checks it on the
 graph before it uses that bound.
 
 Classification and the order both work on holders[v], the bitset of the
-indices of the elements that hold vertex v, built in one pass by
+positions of the elements that hold vertex v, built in one pass by
 transposing the elements' binary strings. Classification first searches
 each element once, which checks that it is connected and lists its
 vertices and the vertices next to it; an element then meets and touches
@@ -18,28 +18,28 @@ from one decision search, asked for each size in turn from a degree-sum
 lower bound up: it branches on the vertices of the smallest unhit element,
 drops each tried vertex from the later branches, and prunes where the
 largest unhit counts of the allowed vertices cannot add up to the unhit
-elements. It sorts the elements first, so it builds its own holders. The
-same search fixes the lexicographically least optimal witness slot by
-slot. The hot loops walk vertex lists or peel the lowest set bit in place;
-the iter_bits generator costs a frame resume per vertex.
+elements. The same search fixes the lexicographically least optimal
+witness slot by slot. The hot loops walk vertex lists or peel the lowest
+set bit in place; the iter_bits generator costs a frame resume per vertex.
 
-Both calls read one index per family, built by _family_index: the holders
-in the given element order and a symmetry group Γ, the automorphisms of
-the graph that map the element set onto itself. Every element of
-automorphism_group(g) that keeps each vertex's holder count is offered as
-a generator and checked on every element; one whose images are not all
-elements is rejected. So Γ's vertex orbits are those of the family's whole
-stabilizer, unless g's group is larger than graphs.MAX_GROUP_ORDER: then Γ
-is trivial, which costs speed only. The builder keeps its last (graph,
-elements) answer in a one-entry functools cache, so classify_family and
-min_hitting_set on one family build the index once, and classification
-transposes the elements once. Elements it cannot use (none, an empty one,
-one outside the graph, a repeat) get the trivial Γ, one orbit per vertex
-and every element its own representative, which sends both calls down
-their plain paths. Meeting and touching are Γ-invariant, so
-classification searches only one element per Γ-orbit when that proves a
-strict bramble; any other family takes the full scan over the same
-holders, so counterexamples do not depend on Γ. The order's decision
+Both calls read one index per family, built by _family_index: the elements
+sorted once by (size, lowest vertex, mask), their holders in that order,
+and a symmetry group Γ, the automorphisms of the graph that map the element
+set onto itself. Every element of automorphism_group(g) that keeps each
+vertex's holder count is offered as a generator and checked on every
+element; one whose images are not all elements is rejected. So Γ's vertex
+orbits are those of the family's whole stabilizer, unless g's group is
+larger than graphs.MAX_GROUP_ORDER: then Γ is trivial, which costs speed
+only. A repeated element needs no case: it counts twice in the holder
+counts, which can only reject generators. A one-entry functools cache
+keeps the last index, so classify_family and min_hitting_set on one family
+sort and transpose the elements once. A family with no elements, an empty
+one or one outside the graph gets the trivial Γ and no holders;
+classification reports it first, and Bramble refuses it. Meeting and
+touching are Γ-invariant, so classification searches only one element per
+Γ-orbit when that proves a strict bramble; any other family takes the full
+scan, in the given order, the one place that maps sorted positions back to
+given indices, so counterexamples do not depend on Γ. The order's decision
 search branches at its root on the Γ-orbits that meet the smallest element
 (orbital branching); the witness is fixed without Γ, so it stays the same.
 """
@@ -174,20 +174,20 @@ def _element_holders(elements: Sequence[int], n: int) -> list[int]:
 # --- the family index ---------------------------------------------------------
 
 
-# What the two searches read of a family: the vertex orbits, as masks in
-# order of their least vertex, of a group Γ of automorphisms of the graph
-# that maps the element set onto itself; the least element index of each
-# element orbit, ascending; and holders[v] over the elements in the given
-# order. A plain tuple: a class would cost the package's import.
-_Index = tuple[list[int], list[int], list[int]]
+# What every consumer reads of a family, over its elements sorted once by
+# (size, lowest vertex, mask): the vertex orbits, as masks by least vertex,
+# of a group Γ of automorphisms of the graph that maps the element set onto
+# itself; the least position of each element orbit, ascending; holders[v];
+# the sorted elements; and order[r], the given index of position r.
+_Index = tuple[list[int], list[int], list[int], list[int], list[int]]
 
 
 @lru_cache(maxsize=1)
 def _family_index(g: Graph, elements: tuple[int, ...]) -> _Index:
-    """Γ and the holders for the elements, kept for the last (g, elements)
-    asked. The trivial Γ when there are none or one of them is empty,
-    outside the graph or repeated; no holders when one is outside the
-    graph, since the scan stops at or before that element.
+    """The index of the elements, kept for the last (g, elements) asked.
+    The trivial Γ and no holders when there are none or one is empty or
+    outside the graph: classify_family reports such a family before it
+    reads a holder, and Bramble refuses it.
 
     The candidate generators are the elements of automorphism_group(g) but
     the identity. A candidate that joins no two vertex orbits of the
@@ -199,18 +199,22 @@ def _family_index(g: Graph, elements: tuple[int, ...]) -> _Index:
     is therefore kept or maps each vertex into its orbit, so Γ, generated
     by the kept candidates, has the vertex orbits of the family's whole
     stabilizer in Aut(g). Past MAX_GROUP_ORDER, automorphism_group gives
-    the identity alone and Γ is trivial; that costs speed only.
+    the identity alone and Γ is trivial; that costs speed only. A repeat
+    only counts twice in the holder counts, which can reject a candidate
+    but never admit one that does not map the element set onto itself.
     """
     n = g.n
-    outside = elements and (min(elements) < 0 or max(elements) >> n)
-    holders = [] if outside else _element_holders(elements, n)
-    index = {e: i for i, e in enumerate(elements)}
-    if not elements or outside or min(elements) == 0 or len(index) != len(elements):
-        return [1 << v for v in range(n)], list(range(len(elements))), holders
+    keys = [(e.bit_count(), e & -e, e) for e in elements]
+    order = sorted(range(len(elements)), key=keys.__getitem__)
+    ranked = [elements[i] for i in order]
+    if not elements or min(elements) <= 0 or max(elements) >> n:
+        return [1 << v for v in range(n)], list(range(len(elements))), [], ranked, order
+    holders = _element_holders(ranked, n)
     holding = [h.bit_count() for h in holders]
+    index = {e: r for r, e in enumerate(ranked)}
     shifts = range(0, n, 8)
     # column s holds byte s / 8 of every element, shared by all candidates
-    columns = [[e >> s & 255 for e in elements] for s in shifts]
+    columns = [[e >> s & 255 for e in ranked] for s in shifts]
     orbit_of = list(range(n))  # vertex -> least vertex of its orbit
     kept: list[list[int]] = []  # per kept candidate, index -> image index
     for p in automorphism_group(g)[1:]:
@@ -257,29 +261,28 @@ def _family_index(g: Graph, elements: tuple[int, ...]) -> _Index:
                 if not seen[y]:
                     seen[y] = 1
                     todo.append(y)
-    return [orbits[o] for o in sorted(orbits)], representatives, holders
+    return [orbits[o] for o in sorted(orbits)], representatives, holders, ranked, order
 
 
 def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
     """Name the first non-touching pair, else the first disjoint pair, in
     index order.
 
-    Through the per-vertex holders bitsets an element meets and touches the
-    others in a few big-int ORs, over its vertices and over the vertices of
-    its neighbourhood. Meeting and touching are invariant under the
-    family's symmetry group Γ (see _family_index). So when every element
-    orbit's representative is connected and meets every element, the
-    family is a strict bramble. Every other family, and one whose Γ is
-    trivial, goes through the full scan, so counterexamples are the same
-    with or without Γ.
+    Through the holders bitsets of the family index (see _family_index) an
+    element meets and touches the others in a few big-int ORs, over its
+    vertices and its neighbourhood. Meeting and touching are Γ-invariant,
+    so when every element orbit's representative is connected and meets
+    every element, the family is a strict bramble. Any other family takes
+    the full scan in the given order, which alone maps sorted positions
+    back to given indices, so counterexamples do not depend on Γ.
     """
     elems = tuple(elements)
-    _, representatives, holders = _family_index(g, elems)
+    _, representatives, holders, ranked, order = _family_index(g, elems)
     holder = holders.__getitem__
     everything = (1 << len(elems)) - 1
     if len(representatives) < len(elems):
-        for i in representatives:
-            span = connected_span(g.adj, elems[i])
+        for r in representatives:
+            span = connected_span(g.adj, ranked[r])
             if span is None or reduce(or_, map(holder, span[0])) != everything:
                 break
         else:
@@ -294,18 +297,19 @@ def classify_family(g: Graph, elements: Iterable[int]) -> Classification:
         if span is None:
             return Classification(NOT_BRAMBLE, (i, i))
         spans.append(span)
-    later = everything  # indices above i once bit i is cleared
+    # no mask of later elements: every earlier one touches element i, or the
+    # scan returned there, and meets it while no disjoint pair is fixed
     disjoint_pair: tuple[int, int] | None = None
     for i, (inside, rim) in enumerate(spans):
-        later ^= 1 << i
         meets = reduce(or_, map(holder, inside))
         touches = reduce(or_, map(holder, rim), meets)
-        apart = later & ~touches
+        apart = everything & ~touches
         if apart:
-            return Classification(NOT_BRAMBLE, (i, (apart & -apart).bit_length() - 1))
-        disjoint = later & ~meets
-        if disjoint and disjoint_pair is None:
-            disjoint_pair = (i, (disjoint & -disjoint).bit_length() - 1)
+            return Classification(NOT_BRAMBLE, (i, min(map(order.__getitem__, iter_bits(apart)))))
+        if disjoint_pair is None:
+            disjoint = everything & ~meets
+            if disjoint:
+                disjoint_pair = (i, min(map(order.__getitem__, iter_bits(disjoint))))
     if disjoint_pair is None:
         return Classification(STRICT_BRAMBLE)
     return Classification(BRAMBLE, disjoint_pair)
@@ -329,18 +333,16 @@ def _greedy_hitting_set(holders: list[int], unhit: int) -> int:
 class _HittingSearch:
     """Decision search for hitting sets over element-index bitsets.
 
-    Elements are sorted once by (size, lowest vertex, mask), so the lowest
-    set bit of an unhit bitset names the smallest unhit element. holders[v]
-    is the bitset of the element indices holding v, paired with bit v in
-    vertex_holders. nodes counts the calls of exists, the work measure of
-    the search.
+    It reads the family index (see _family_index): Γ's vertex orbits, the
+    sorted elements, so the lowest set bit of an unhit bitset names the
+    smallest unhit element, and holders[v], paired with bit v in
+    vertex_holders. nodes counts the calls of exists, the work measure.
     """
 
-    def __init__(self, elements: Iterable[int], n: int):
-        self.elements = sorted(elements, key=lambda e: (e.bit_count(), e & -e, e))
-        self.holders = _element_holders(self.elements, n)
+    def __init__(self, b: Bramble):
+        self.orbits, _, self.holders, self.elements, _ = _family_index(b.graph, b.elements)
         self.vertex_holders = [(1 << v, h) for v, h in enumerate(self.holders)]
-        self.n = n
+        self.n = b.graph.n
         self.everything = (1 << len(self.elements)) - 1
         self.nodes = 0
 
@@ -446,8 +448,8 @@ def min_hitting_set(b: Bramble) -> OrderCertificate:
     inputs always give byte-equal certificates.
     """
     n = b.graph.n
-    search = _HittingSearch(b.elements, n)
-    orbits = [o for o in _family_index(b.graph, b.elements)[0] if o & search.elements[0]]
+    search = _HittingSearch(b)
+    orbits = [o for o in search.orbits if o & search.elements[0]]
     full = (1 << n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)

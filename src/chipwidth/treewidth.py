@@ -333,23 +333,21 @@ def min_fill_order(g: Graph) -> tuple[list[int], int]:
 
 
 class _Budget:
-    __slots__ = ("max_states", "deadline", "states", "exhausted")
+    __slots__ = ("max_states", "deadline", "states")
 
     def __init__(self, max_states: int, time_budget: float | None):
         self.max_states = max_states
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.states = 0
-        self.exhausted = False
 
     def tick(self) -> bool:
         """Count one expanded state; True while within budget."""
         self.states += 1
         if self.states > self.max_states:
-            self.exhausted = True
-        elif self.deadline is not None and not self.states & 0xFF:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
-        return not self.exhausted
+            return False
+        if self.deadline is not None and not self.states & 0xFF:
+            return time.monotonic() <= self.deadline
+        return True
 
 
 def _decide_width(

@@ -67,9 +67,8 @@ def pairwise_classification(g: Graph, elements: list[int]) -> tuple[str, tuple |
 def plain_root_hitting_set(b: Bramble) -> tuple[int, int, int]:
     """min_hitting_set with no symmetry: every size's decision search starts
     at the plain root. Its order, witness and search nodes."""
-    n = b.graph.n
-    search = _HittingSearch(b.elements, n)
-    full = (1 << n) - 1
+    search = _HittingSearch(b)
+    full = (1 << b.graph.n) - 1
     upper = _greedy_hitting_set(search.holders, search.everything).bit_count()
     k = search.degree_bound(search.everything, full)
     while k < upper and not search.exists(search.everything, k, full):
@@ -299,11 +298,11 @@ def test_stock_bramble_with_an_element_dropped():
             assert (cert.order, cert.witness) == plain_root_hitting_set(b)[:2], (kind, m, n, i)
 
 
-def test_classify_and_order_transpose_twice(monkeypatch):
-    # the family index transposes the elements once for classification's
-    # Γ-orbit check and for the full scan that the symmetric but not strict
-    # torus_fg falls through to; the hitting-set search sorts the elements
-    # and transposes them once more
+def test_classify_and_order_transpose_once(monkeypatch):
+    # the family index sorts and transposes the elements once, for
+    # classification's Γ-orbit check, for the full scan that the symmetric
+    # but not strict torus_fg falls through to, and for the hitting-set
+    # search
     calls = []
     holders = brambles._element_holders
     monkeypatch.setattr(brambles, "_element_holders",
@@ -315,7 +314,21 @@ def test_classify_and_order_transpose_twice(monkeypatch):
         calls.clear()
         assert classify_family(b.graph, b.elements).verdict == verdict
         min_hitting_set(b)
-        assert len(calls) == 2, (kind, m, n)
+        assert len(calls) == 1, (kind, m, n)
+
+
+def test_repeated_element_keeps_a_family_group():
+    # a repeat counts twice in the holder counts, so Γ keeps only the
+    # automorphisms that keep those counts: T5,3 torus_cde with element 0
+    # again has 8 vertex orbits, not the 15 singletons of a trivial Γ
+    g = make_family("toroidal_grid", 5, 3)
+    elements = gen_torus_cde(g).elements
+    b = Bramble(g, elements + elements[:1])
+    assert len(_family_index(g, b.elements)[0]) == 8
+    cert = min_hitting_set(b)
+    # row 0 plus (1, 0) and (1, 1)
+    assert (cert.order, cert.witness, cert.nodes) == (5, 0b11111, 179)
+    assert plain_root_hitting_set(b) == (5, 0b11111, 280)
 
 
 def image_of(p: list[int]):

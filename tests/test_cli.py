@@ -267,6 +267,17 @@ def test_gon_winning_needs_family_metadata(tmp_path, capsys):
     assert code == 1 and out == "" and "no stock winning divisor for family 'grid'" in err
 
 
+def test_gon_winning_refuses_a_divisor_that_loses(tmp_path, capsys, monkeypatch):
+    # the generated divisor is checked before it is written
+    gr, out = tmp_path / "t43.gr", tmp_path / "t43.div"
+    run(capsys, "gen", "torus", "4", "3", "-o", str(gr))
+    monkeypatch.setattr(cli, "gen_winning_divisor",
+                        lambda g, style, index=0: chipfiring.Divisor((0,) * g.n))
+    code, stdout, err = run(capsys, "gon", "winning", str(gr), "-o", str(out))
+    assert (code, stdout, err) == (1, "", "error: generated divisor does not win on T4,3\n")
+    assert not out.exists()
+
+
 # the divisor file `gon winning` writes for each stock style: (family, m, n,
 # style, index) -> text
 WINNING_DIVISORS = {
