@@ -355,6 +355,15 @@ def exact_gonality(g: Graph, max_degree: int | None = None) -> GonalityResult:
                           tuple(last_losing), max_degree + 1, checked, reductions)
 
 
+# The stock winning divisors: style -> (kinds it is stocked on, the line
+# it loads, chips per vertex).
+WINNING_STYLES = {
+    "column_ones": (("stacked_prism",), "column", 1),
+    "row_twos": (("stacked_prism", "toroidal_grid"), "row", 2),
+    "column_twos": (("toroidal_grid",), "column", 2),
+}
+
+
 def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:
     """Known winning divisors for prisms and toroidal grids.
 
@@ -365,20 +374,14 @@ def gen_winning_divisor(g: Graph, style: str, index: int = 0) -> Divisor:
     fam = g.family
     if fam is None:
         raise InvalidFamilyError("winning divisor generator needs a family graph")
-    # style -> (kinds it is stocked on, the line it loads, chips per vertex)
-    styles = {
-        "column_ones": (("stacked_prism",), "column", 1),
-        "row_twos": (("stacked_prism", "toroidal_grid"), "row", 2),
-        "column_twos": (("toroidal_grid",), "column", 2),
-    }
-    allowed = tuple(s for s, (kinds, _, _) in styles.items() if fam.kind in kinds)
+    allowed = tuple(s for s, (kinds, _, _) in WINNING_STYLES.items() if fam.kind in kinds)
     if not allowed:
         raise InvalidFamilyError(f"no stock winning divisor for family {fam.kind!r}")
     if style not in allowed:
         raise InvalidFamilyError(
             f"style {style!r} is not defined on {fam.kind} (choose from {allowed})"
         )
-    _, which, amount = styles[style]
+    _, which, amount = WINNING_STYLES[style]
     rows, cols = grid_lines(g)
     lines, size = (rows, "m") if which == "row" else (cols, "n")
     if not 0 <= index < len(lines):

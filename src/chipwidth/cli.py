@@ -4,8 +4,9 @@ Subcommands: gen (emit family graphs as .gr), tw (exact treewidth with a
 decomposition), verify-td (check a .td against a graph), bramble
 (generate / classify / order for the named covering families), gon
 (winning-divisor check, exact gonality, known winning divisors), and
-reproduce (check the family claims table on every grid, prism and torus up
-to a size, and the stock bramble orders and gonalities, as a verdict table).
+reproduce (a verdict table computed in one pass: the family claims table
+on every grid, prism and torus up to a size, then the stock table of
+bramble orders and gonalities).
 
 Machine output goes to stdout, diagnostics to stderr. Exit codes: 0 on
 success or an all-match table, 1 on a verification failure or mismatch,
@@ -22,8 +23,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .brambles import (
     BrambleError,
@@ -38,6 +38,7 @@ from .brambles import (
     write_bramble,
 )
 from .chipfiring import (
+    WINNING_STYLES,
     ChipFiringError,
     exact_gonality,
     gen_winning_divisor,
@@ -57,7 +58,6 @@ from .graphs import (
 from .treewidth import (
     DEFAULT_TIME_BUDGET,
     DecompositionError,
-    FamilyClaims,
     SolverLimits,
     exact_treewidth,
     family_bramble,
@@ -281,16 +281,19 @@ def _cmd_gon(args: argparse.Namespace) -> int:
 # --- reproduce ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReproRow:
-    """One claim: label, claim source, claimed value, vertex count, and a
-    runner mapping a time budget to (computed text, verdict)."""
-
-    label: str
-    source: str
-    claimed: str
-    vertices: int
-    run: Callable[[float], tuple[str, str]]
+# The claims the family table does not hold, checked after the sweep:
+# (row, claim source, bramble family or graph kind, m, n, claimed value,
+# strict). An order row checks the family's hitting-set order and whether
+# it is a strict bramble; a gonality row (strict None) checks gon(G).
+_STOCK_CLAIMS = (
+    ("order(grid@G3,4)", "covering family order", "grid", 3, 4, 3, True),
+    ("order(prism_b1@Y7,3)", "covering family order", "prism_b1", 7, 3, 6, True),
+    ("order(prism_b2@Y5,3)", "covering family order", "prism_b2", 5, 3, 5, True),
+    ("order(torus_balanced@T5,3)", "covering family order", "torus_balanced", 5, 3, 6, True),
+    ("order(torus_fg@T4,3)", "covering family order", "torus_fg", 4, 3, 6, False),
+    ("gon(Y4,2)", "computed benchmark", "stacked_prism", 4, 2, 4, None),
+    ("gon(T3,3)", "companion result", "toroidal_grid", 3, 3, 6, None),
+)
 
 
 def _interval_text(low: int, high: int) -> str:
@@ -307,93 +310,78 @@ def _interval_verdict(low: int, high: int, claim_low: int, claim_high: int) -> s
     return "within_interval"
 
 
-def _width_row(g: Graph, claims: FamilyClaims) -> ReproRow:
-    def run(budget: float) -> tuple[str, str]:
-        res = exact_treewidth(g, SolverLimits(time_budget=budget), family_bramble(g))
-        verdict = _interval_verdict(res.lower, res.upper, claims.low, claims.high)
-        return _interval_text(res.lower, res.upper), verdict
-
-    source = "width formula" if claims.low == claims.high else "open line"
-    return ReproRow(f"tw({_label(g)})", source, _interval_text(claims.low, claims.high),
-                    g.n, run)
-
-
-def _winning_row(g: Graph, style: str) -> ReproRow:
-    def run(budget: float) -> tuple[str, str]:
-        wins, _ = is_winning_divisor(g, gen_winning_divisor(g, style))
-        return ("wins", "match") if wins else ("loses", "mismatch")
-
-    return ReproRow(f"winning({_label(g)})", "divisor construction", "wins", g.n, run)
-
-
-def _order_row(label: str, family: str, m: int, n: int, claimed: int, strict: bool) -> ReproRow:
-    kind, gen = _BRAMBLE_FAMILIES[family]
-
-    def run(budget: float) -> tuple[str, str]:
-        g = make_family(kind, m, n)
-        b = gen(g)
-        oc = min_hitting_set(b)
-        cls = classify_family(g, b.elements)
-        strict_ok = (cls.verdict == "strict_bramble") == strict
-        ok = oc.order == claimed and strict_ok
-        shown = str(oc.order) if strict_ok else f"{oc.order} ({cls.verdict})"
-        return shown, "match" if ok else "mismatch"
-
-    return ReproRow(label, "covering family order", str(claimed), m * n, run)
-
-
-def _gon_row(label: str, source: str, kind: str, m: int, n: int, claimed: int) -> ReproRow:
-    def run(budget: float) -> tuple[str, str]:
-        g = make_family(kind, m, n)
-        res = exact_gonality(g)
-        if res.status == "exact":
-            return str(res.gonality), "match" if res.gonality == claimed else "mismatch"
-        verdict = "within_interval" if claimed >= res.lower else "mismatch"
-        return f">={res.lower}", verdict
-
-    return ReproRow(label, source, str(claimed), m * n, run)
-
-
-def _repro_rows(max_vertices: int) -> list[ReproRow]:
-    """A width row for every family graph up to max_vertices and a winning
-    row where the claims table has a style, then the claims it does not
-    hold: bramble orders and gonalities."""
-    rows = []
+def _repro_rows(max_vertices: int, budget: float) -> Iterator[tuple[str, str, str, str, str]]:
+    """(label, claimed, computed, verdict, claim source) for each row, in one
+    pass: a width row for every family graph up to max_vertices and a
+    winning row where the claims table has a style, then the stock claims,
+    skipped on graphs above max_vertices. Each row is announced on stderr
+    before it is computed."""
     for g in family_graphs(max_vertices):
         claims = family_claims(g)
-        rows.append(_width_row(g, claims))
+        label = _label(g)
+        print(f"reproduce: computing tw({label})", file=sys.stderr)
+        res = exact_treewidth(g, SolverLimits(time_budget=budget), family_bramble(g))
+        yield (f"tw({label})", _interval_text(claims.low, claims.high),
+               _interval_text(res.lower, res.upper),
+               _interval_verdict(res.lower, res.upper, claims.low, claims.high),
+               "width formula" if claims.low == claims.high else "open line")
         if claims.style is not None:
-            rows.append(_winning_row(g, claims.style))
-    return rows + [
-        _order_row("order(grid@G3,4)", "grid", 3, 4, 3, True),
-        _order_row("order(prism_b1@Y7,3)", "prism_b1", 7, 3, 6, True),
-        _order_row("order(prism_b2@Y5,3)", "prism_b2", 5, 3, 5, True),
-        _order_row("order(torus_balanced@T5,3)", "torus_balanced", 5, 3, 6, True),
-        _order_row("order(torus_fg@T4,3)", "torus_fg", 4, 3, 6, False),
-        _gon_row("gon(Y4,2)", "computed benchmark", "stacked_prism", 4, 2, 4),
-        _gon_row("gon(T3,3)", "companion result", "toroidal_grid", 3, 3, 6),
-    ]
+            print(f"reproduce: computing winning({label})", file=sys.stderr)
+            wins, _ = is_winning_divisor(g, gen_winning_divisor(g, claims.style))
+            yield (f"winning({label})", "wins", "wins" if wins else "loses",
+                   "match" if wins else "mismatch", "divisor construction")
+    for label, source, name, m, n, claimed, strict in _STOCK_CLAIMS:
+        if m * n > max_vertices:
+            yield label, str(claimed), "-", "skipped_size", source
+            continue
+        print(f"reproduce: computing {label}", file=sys.stderr)
+        if strict is None:
+            res = exact_gonality(make_family(name, m, n))
+            if res.status == "exact":
+                computed = str(res.gonality)
+                verdict = "match" if res.gonality == claimed else "mismatch"
+            else:
+                computed = f">={res.lower}"
+                verdict = "within_interval" if claimed >= res.lower else "mismatch"
+        else:
+            kind, gen = _BRAMBLE_FAMILIES[name]
+            g = make_family(kind, m, n)
+            b = gen(g)
+            order = min_hitting_set(b).order
+            cls = classify_family(g, b.elements).verdict
+            strict_ok = (cls == "strict_bramble") == strict
+            computed = str(order) if strict_ok else f"{order} ({cls})"
+            verdict = "match" if order == claimed and strict_ok else "mismatch"
+        yield label, str(claimed), computed, verdict, source
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     counts = {"match": 0, "within_interval": 0, "mismatch": 0, "skipped_size": 0}
-    for row in _repro_rows(args.max_vertices):
-        if row.vertices > args.max_vertices:
-            computed, verdict = "-", "skipped_size"
-        else:
-            print(f"reproduce: computing {row.label}", file=sys.stderr)
-            computed, verdict = row.run(args.budget_ms / 1000.0)
+    rows = _repro_rows(args.max_vertices, args.budget_ms / 1000.0)
+    for label, claimed, computed, verdict, source in rows:
         counts[verdict] += 1
-        sys.stdout.write(
-            f"{row.label} claimed {row.claimed} computed {computed}"
-            f" {verdict} ({row.source})\n"
-        )
+        sys.stdout.write(f"{label} claimed {claimed} computed {computed} {verdict} ({source})\n")
     tally = " ".join(f"{verdict} {count}" for verdict, count in counts.items())
     sys.stdout.write(f"rows {sum(counts.values())} {tally}\n")
     return 1 if counts["mismatch"] else 0
 
 
 # --- argument parsing ---------------------------------------------------------
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -421,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tw", help="exact treewidth with a tree decomposition")
     p.add_argument("graph", help=".gr file")
-    p.add_argument("--budget-ms", type=int, default=int(DEFAULT_TIME_BUDGET * 1000))
+    p.add_argument("--budget-ms", type=_int_at_least(0),
+                   default=int(DEFAULT_TIME_BUDGET * 1000))
     p.add_argument("--td", default=None, help="also write the decomposition to this .td file")
     p.set_defaults(func=_cmd_tw)
 
@@ -457,17 +446,17 @@ def _build_parser() -> argparse.ArgumentParser:
     q = ps.add_parser("winning", help="emit a stock winning divisor for a family graph")
     q.add_argument("graph", help=".gr file with family metadata")
     q.add_argument("--style", default=None,
-                   choices=["column_ones", "row_twos", "column_twos"])
+                   choices=list(WINNING_STYLES))
     q.add_argument("--index", type=int, default=0, help="which row or column to load")
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=_cmd_gon)
 
     p = sub.add_parser("reproduce",
                        help="check the family claims and the stock claims; print a verdict table")
-    p.add_argument("--max-vertices", type=int, default=20,
+    p.add_argument("--max-vertices", type=_int_at_least(1), default=20,
                    help="sweep the family graphs up to this size and skip the other "
                    "claims on larger graphs (default 20)")
-    p.add_argument("--budget-ms", type=int, default=120000,
+    p.add_argument("--budget-ms", type=_int_at_least(0), default=120000,
                    help="time budget of each treewidth row's search (default 120000); "
                    "the check of its witness bramble runs before the search, unbudgeted")
     p.set_defaults(func=_cmd_reproduce)

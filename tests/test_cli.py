@@ -5,11 +5,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import chipwidth.chipfiring as chipfiring
 import chipwidth.cli as cli
 from chipwidth.cli import _interval_verdict, main
 from chipwidth.graphs import FamilyMeta, Graph, write_gr
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -375,6 +379,12 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "gen", "prism")[0] == 2
     assert run(capsys, "bramble", "order", "--family", "grid", "--m", "3")[0] == 2
+    # a scope below 1 or a negative budget checks nothing: refused before any row
+    for argv in (["reproduce", "--max-vertices", "0"], ["reproduce", "--max-vertices", "-1"],
+                 ["reproduce", "--budget-ms", "-5"], ["tw", "t.gr", "--budget-ms", "-5"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"error: argument {argv[-2]}: must be at least " in err, argv
 
 
 # --- reproduce ---------------------------------------------------------------------
@@ -404,7 +414,7 @@ def test_reproduce_small_scope_all_match(capsys):
 def test_reproduce_default_scope_flags_known_shortfall(capsys):
     # one width row per family graph up to 20 vertices, a winning row per
     # stock style, and the seven order and gonality rows
-    code, out, _ = run(capsys, "reproduce")
+    code, out, err = run(capsys, "reproduce")
     assert code == 0
     lines = out.strip().splitlines()
     assert sum(l.startswith("tw(") for l in lines) == 112
@@ -415,6 +425,17 @@ def test_reproduce_default_scope_flags_known_shortfall(capsys):
     assert "order(torus_balanced@T5,3) claimed 6 computed 6 match" in out
     assert "order(prism_b1@Y7,3) claimed 6 computed - skipped_size" in out
     assert lines[-1] == "rows 165 match 164 within_interval 0 mismatch 0 skipped_size 1"
+    # the table and the progress lines, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "14a1790a8b250f67810789a7f2d184b3d397014deb685b816a274a92618c65ac")
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "a2a3568eec2cc24f4efc65a90b9289c8c383aaa8107fac3b654449fe7ed9aec8")
+    # the README's example rows are rows of this run, so a change to the row
+    # format cannot leave them behind
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
+    examples = [b.splitlines() for lang, b in blocks if not lang and " claimed " in b]
+    assert len(examples) == 1 and len(examples[0]) == 3
+    assert set(examples[0]) <= set(lines)
 
 
 def test_reproduce_flags_a_false_formula(capsys, monkeypatch):
